@@ -1,9 +1,10 @@
 """Adapter heads on a frozen linear layer, and what merging does.
 
-Walks through the three forward views of a LoRA-parameterized layer, shows
-that a product of low-rank factors splits exactly into a sum of lower-rank
-products, and demonstrates that merging the heads into the base weight (with
-B reset) leaves the layer's function untouched.
+Evaluates one LoRA-parameterized layer in each forward mode (a mode is only a
+choice of heads and coefficients), shows that a product of low-rank factors
+splits exactly into a sum of lower-rank products, and demonstrates that
+merging the heads into the base weight (with B reset) leaves the layer's
+function untouched.
 """
 
 import numpy as np
@@ -17,14 +18,11 @@ from ltelab import (
     Network,
     RandomSource,
     effective_weight,
-    lora_forward,
+    forward,
     merge,
-    mhlora_forward,
     split_product,
-    worker_view_forward,
 )
 from ltelab.lte import KeyedOptimizer, WorkerState
-from ltelab.network import forward
 from ltelab.optim import OptimConfig
 
 rng = RandomSource(0)
@@ -41,16 +39,23 @@ x = rng.child("x").standard_normal((n, 1))
 print(f"layer: {layer}, scale s = alpha/r = {layer.s}")
 print()
 
-single = lora_forward(layer, 0, x)
-multi = mhlora_forward(layer, x)
-share = worker_view_forward(layer, 0, x)
+net = Network([layer])
+
+
+def view(mode):
+    return forward(net, x, mode)[0]
+
+
+single = view(Mode.single(0))
+multi = view(Mode.multi())
+share = view(Mode.worker(0))
 print("single-head view   W x + s B0 A0 x        :", np.round(single.ravel(), 4))
 print("multi-head view    W x + (s/N) sum B A x  :", np.round(multi.ravel(), 4))
 print("worker-0 share     W x + (s/N) B0 A0 x    :", np.round(share.ravel(), 4))
 
 acc = layer.W @ x
 for i in range(n_heads):
-    acc = acc + (worker_view_forward(layer, i, x) - layer.W @ x)
+    acc = acc + (view(Mode.worker(i)) - layer.W @ x)
 print("base + sum of worker shares reproduces the multi-head view:",
       np.abs(acc - multi).max())
 print()
@@ -63,7 +68,6 @@ print("split_product reconstruction error:", np.abs(b1 @ a1 + b2 @ a2 - B @ A).m
 print()
 
 # Merging folds (s/N) sum B_n A_n into W; resetting B keeps the function.
-net = Network([layer])
 workers = [
     WorkerState(head_index=i, stream=None, opt=KeyedOptimizer("sgd", OptimConfig(eta=0.1)),
                 corrections=[np.zeros((m, n))], use_correction=False)

@@ -25,17 +25,7 @@ from .analysis import (
 )
 from .costmodel import CostInputs, CostReport, cost_report
 from .data import LeastSquaresTask, gen_least_squares, sample_batch
-from .layers import (
-    LayerGradients,
-    LoraHead,
-    LoraLinear,
-    effective_weight,
-    lora_backward,
-    lora_forward,
-    mhlora_forward,
-    split_product,
-    worker_view_forward,
-)
+from .layers import LayerGradients, LoraHead, LoraLinear, split_product
 from .lte import (
     ArchSpec,
     ConfigError,
@@ -54,18 +44,16 @@ from .lte import (
     run_lte,
     run_mhlora,
 )
-from .network import Batch, Mode, Network, fd_check, forward, loss_and_grad
+from .network import Batch, Mode, Network, effective_weight, fd_check, forward, loss_and_grad
 from .numerics import (
     InitScheme,
     Matrix,
     RandomSource,
     init_matrix,
     load_matrix_csv,
-    matmul,
-    quantize_emulate,
     save_matrix_csv,
     svd,
 )
-from .optim import AdamState, OptimConfig, adamw_step, schedule_eta, sgd_step
+from .optim import AdamState, OptimConfig, adamw_step, sgd_step
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -43,31 +43,35 @@ def effective_rank(m: Matrix) -> float:
     return float(np.exp(-np.sum(p * np.log(p))))
 
 
-def orthonormal_basis(m: Matrix, k: int) -> Matrix:
-    """First k left singular vectors; errors if the numerical rank is below k."""
-    u, sv, _ = svd(m)
-    rank = int(np.sum(sv > 1e-10 * sv[0])) if sv[0] > 0 else 0
-    if k > rank:
-        raise ValueError(f"k={k} exceeds the numerical rank {rank}")
-    return u[:, :k]
+def _principal_angle_distance(u: Matrix, v: Matrix) -> float:
+    """Root-sum-square of the principal angles between two orthonormal bases.
+
+    Singular values of U^T V are clamped into [0, 1] before arccos since
+    rounding can push them marginally outside.
+    """
+    sig = np.linalg.svd(u.T @ v, compute_uv=False)
+    theta = np.arccos(np.clip(sig, 0.0, 1.0))
+    return float(np.sqrt(np.sum(theta * theta)))
 
 
 def grassman_distance(p: Matrix, q: Matrix, k: int) -> float:
     """Root-sum-square of the k principal angles between the column spaces.
 
-    Bases come from the left singular vectors truncated to k; singular values
-    of U^T V are clamped into [0, 1] before arccos since rounding can push
-    them marginally outside.
+    Bases are the first k left singular vectors; errors if either matrix has
+    numerical rank below k.
     """
     p = as_matrix(p, "grassman p")
     q = as_matrix(q, "grassman q")
     if p.shape[0] != q.shape[0]:
         raise ValueError(f"row dimensions differ: {p.shape[0]} vs {q.shape[0]}")
-    u = orthonormal_basis(p, k)
-    v = orthonormal_basis(q, k)
-    sig = np.linalg.svd(u.T @ v, compute_uv=False)
-    theta = np.arccos(np.clip(sig, 0.0, 1.0))
-    return float(np.sqrt(np.sum(theta * theta)))
+    bases = []
+    for m in (p, q):
+        u, sv, _ = svd(m)
+        rank = int(np.sum(sv > 1e-10 * sv[0])) if sv[0] > 0 else 0
+        if k > rank:
+            raise ValueError(f"k={k} exceeds the numerical rank {rank}")
+        bases.append(u[:, :k])
+    return _principal_angle_distance(*bases)
 
 
 @dataclass
@@ -136,9 +140,7 @@ def head_alignment(layer: LoraLinear, rank_tol: float = 1e-10) -> AlignmentRepor
             else:
                 cosine[i, j] = cosine[j, i] = 0.0
             if bases[i] is not None and bases[j] is not None:
-                sig = np.linalg.svd(bases[i].T @ bases[j], compute_uv=False)
-                theta = np.arccos(np.clip(sig, 0.0, 1.0))
-                d = float(np.sqrt(np.sum(theta * theta)))
+                d = _principal_angle_distance(bases[i], bases[j])
                 grassman[i, j] = grassman[j, i] = d
                 gr_vals.append(d)
 

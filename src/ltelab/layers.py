@@ -1,30 +1,18 @@
-"""LoRA-parameterized linear layers.
+"""LoRA-parameterized linear layers: the parameters, not the algebra.
 
 A layer is a frozen base weight W (m x n) plus N low-rank heads, each a pair
-B (m x r), A (r x n), sharing the scale s = alpha / r. Three forward views
-exist, differing only in the coefficient applied to the head product:
-
-  - single-head:  W x + s * B_h A_h x          (one adapter at full scale)
-  - multi-head:   W x + (s/N) * sum_n B_n A_n x
-  - worker view:  W x + (s/N) * B_h A_h x      (one worker's share of the
-                  average; optionally minus (s/N) * V x for a stale-product
-                  correction)
-
-Keeping the coefficient choice explicit is what lets single-head, multi-head,
-and per-worker training agree exactly where they should.
+B (m x r), A (r x n), sharing the scale s = alpha / r. What a layer computes
+depends on which heads are active and at what coefficient; that choice is
+made in one place, `ltelab.network.Mode.terms`.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import InitScheme, Matrix, RandomSource, as_matrix, init_matrix, load_matrix_csv, save_matrix_csv
-
-SCALE_MODES = ("full", "shared")
+from .numerics import InitScheme, Matrix, RandomSource, as_matrix, init_matrix
 
 
 @dataclass
@@ -113,60 +101,6 @@ class LayerGradients:
     dB: dict[int, Matrix] = field(default_factory=dict)
 
 
-def _check_input(layer: LoraLinear, x: Matrix) -> Matrix:
-    x = as_matrix(x, "layer input")
-    if x.shape[0] != layer.n:
-        raise ValueError(f"input rows {x.shape[0]} do not match layer fan-in {layer.n}")
-    return x
-
-
-def lora_forward(layer: LoraLinear, head_index: int, x: Matrix) -> Matrix:
-    """Single-head forward: W x + s * B_h A_h x."""
-    x = _check_input(layer, x)
-    h = layer.heads[head_index]
-    return layer.W @ x + layer.s * (h.B @ (h.A @ x))
-
-
-def mhlora_forward(layer: LoraLinear, x: Matrix) -> Matrix:
-    """Multi-head forward: W x + (s/N) * sum_n B_n A_n x."""
-    x = _check_input(layer, x)
-    out = layer.W @ x
-    if layer.heads:
-        c = layer.s / layer.num_heads
-        for h in layer.heads:
-            out = out + c * (h.B @ (h.A @ x))
-    return out
-
-
-def worker_view_forward(
-    layer: LoraLinear, head_index: int, x: Matrix, correction: Matrix | None = None
-) -> Matrix:
-    """One worker's view: W x + (s/N) * B_h A_h x, minus (s/N) * V x if a
-    stale-product correction V is supplied.
-
-    The coefficient is the worker's share s/N of the averaged update, not the
-    single-head scale s.
-    """
-    x = _check_input(layer, x)
-    h = layer.heads[head_index]
-    c = layer.s / layer.num_heads
-    out = layer.W @ x + c * (h.B @ (h.A @ x))
-    if correction is not None:
-        out = out - c * (correction @ x)
-    return out
-
-
-def effective_weight(layer: LoraLinear) -> Matrix:
-    """W + (s/N) * sum_n B_n A_n, the weight the multi-head view realizes."""
-    if not layer.heads:
-        return layer.W.copy()
-    c = layer.s / layer.num_heads
-    acc = np.zeros_like(layer.W)
-    for h in layer.heads:
-        acc = acc + h.B @ h.A
-    return layer.W + c * acc
-
-
 def split_product(B: Matrix, A: Matrix, k: int) -> tuple[tuple[Matrix, Matrix], tuple[Matrix, Matrix]]:
     """Split B A into B1 A1 + B2 A2 by cutting the inner dimension at k.
 
@@ -181,73 +115,3 @@ def split_product(B: Matrix, A: Matrix, k: int) -> tuple[tuple[Matrix, Matrix], 
     if not 1 <= k < d:
         raise ValueError(f"k must be in 1..{d - 1}, got {k}")
     return (B[:, :k].copy(), A[:k, :].copy()), (B[:, k:].copy(), A[k:, :].copy())
-
-
-def lora_backward(
-    layer: LoraLinear,
-    head_index: int,
-    x: Matrix,
-    upstream: Matrix,
-    scale_mode: str,
-    with_base: bool = False,
-) -> LayerGradients:
-    """Analytic gradients of a head through its forward view.
-
-    scale_mode selects the coefficient the forward applied to the head term:
-    "full" for the single-head view (s), "shared" for the multi-head or
-    worker view (s/N). With c that coefficient and u the upstream gradient,
-    dB = c * u (A x)^T and dA = c * B^T u x^T; dW = u x^T is included when
-    base gradients are requested.
-    """
-    if scale_mode not in SCALE_MODES:
-        raise ValueError(f"scale_mode must be one of {SCALE_MODES}, got {scale_mode!r}")
-    x = _check_input(layer, x)
-    upstream = as_matrix(upstream, "upstream gradient")
-    if upstream.shape != (layer.m, x.shape[1]):
-        raise ValueError(
-            f"upstream shape {upstream.shape} does not match output {(layer.m, x.shape[1])}"
-        )
-    h = layer.heads[head_index]
-    c = layer.s if scale_mode == "full" else layer.s / layer.num_heads
-    ax = h.A @ x
-    grads = LayerGradients()
-    grads.dB[head_index] = c * (upstream @ ax.T)
-    grads.dA[head_index] = c * ((h.B.T @ upstream) @ x.T)
-    if with_base:
-        grads.dW = upstream @ x.T
-    return grads
-
-
-def save_layer(layer: LoraLinear, directory: str | os.PathLike, name: str) -> None:
-    """Checkpoint a layer: JSON metadata plus one CSV per matrix."""
-    directory = os.fspath(directory)
-    os.makedirs(directory, exist_ok=True)
-    meta = {
-        "m": layer.m,
-        "n": layer.n,
-        "alpha": layer.alpha,
-        "num_heads": layer.num_heads,
-        "rank": layer.heads[0].rank if layer.heads else None,
-    }
-    with open(os.path.join(directory, f"{name}.json"), "w", encoding="ascii") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-    save_matrix_csv(layer.W, os.path.join(directory, f"{name}_W.csv"))
-    for i, h in enumerate(layer.heads):
-        save_matrix_csv(h.A, os.path.join(directory, f"{name}_h{i}_A.csv"))
-        save_matrix_csv(h.B, os.path.join(directory, f"{name}_h{i}_B.csv"))
-
-
-def load_layer(directory: str | os.PathLike, name: str) -> LoraLinear:
-    directory = os.fspath(directory)
-    with open(os.path.join(directory, f"{name}.json"), "r", encoding="ascii") as fh:
-        meta = json.load(fh)
-    W = load_matrix_csv(os.path.join(directory, f"{name}_W.csv"))
-    heads = []
-    for i in range(meta["num_heads"]):
-        A = load_matrix_csv(os.path.join(directory, f"{name}_h{i}_A.csv"))
-        B = load_matrix_csv(os.path.join(directory, f"{name}_h{i}_B.csv"))
-        heads.append(LoraHead(A=A, B=B))
-    layer = LoraLinear(W=W, alpha=meta["alpha"], heads=heads)
-    if (layer.m, layer.n) != (meta["m"], meta["n"]):
-        raise ValueError(f"layer checkpoint {name}: stored shapes disagree with metadata")
-    return layer

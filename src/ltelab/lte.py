@@ -18,6 +18,7 @@ so results never depend on worker execution order.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -26,7 +27,7 @@ from . import __version__ as _code_version
 from .analysis import AlignmentReport, effective_rank, head_alignment
 from .data import LeastSquaresTask, gen_least_squares, sample_batch
 from .layers import LoraHead, LoraLinear
-from .network import ACTIVATIONS, LOSSES, Batch, Mode, Network, loss_and_grad
+from .network import ACTIVATIONS, LOSSES, Batch, Mode, Network, effective_weight, loss_and_grad
 from .numerics import INIT_KINDS, InitScheme, Matrix, RandomSource, init_matrix
 from .optim import AdamState, OptimConfig, adamw_step, sgd_step
 
@@ -171,6 +172,11 @@ class RunConfig:
             raise ConfigError(f"seed: must be an unsigned 64-bit integer, got {self.seed}")
         if self.stop_mse is not None and self.stop_mse <= 0:
             raise ConfigError(f"stop_mse: must be > 0, got {self.stop_mse}")
+        if self.stop_mse is not None and not _eval_enabled(self):
+            raise ConfigError(
+                "stop_mse: population MSE is only defined for an mse loss with "
+                f"identity gaps, got loss {arch.loss!r} and activation {arch.activation!r}"
+            )
 
 
 _CONFIG_ALIASES = {"N": "n_heads", "r": "rank"}
@@ -458,23 +464,13 @@ def _make_streams(cfg: RunConfig, task: LeastSquaresTask, root: RandomSource, n_
     return [PooledStream(x, y, i, n_workers) for i in range(n_workers)]
 
 
-def _global_weights(net: Network, workers: list[WorkerState] | None) -> list[Matrix]:
-    """Per-layer effective weight of the current global model: base plus the
-    scaled head sum, with stale products subtracted in exact mode."""
-    out = []
-    for li, layer in enumerate(net.layers):
-        if not layer.heads:
-            out.append(layer.W.copy())
-            continue
-        acc = np.zeros_like(layer.W)
-        for h in layer.heads:
-            acc += h.B @ h.A
-        if workers is not None:
-            for w in workers:
-                if w.use_correction:
-                    acc -= w.corrections[li]
-        out.append(layer.W + (layer.s / layer.num_heads) * acc)
-    return out
+def _effective_weights(net: Network, workers: Sequence[WorkerState] = ()) -> list[Matrix]:
+    """Per-layer effective weight of the current global model, with the
+    workers' stale products subtracted in exact mode."""
+    return [
+        effective_weight(layer, [w.corrections[li] for w in workers if w.use_correction])
+        for li, layer in enumerate(net.layers)
+    ]
 
 
 def _chain(weights: list[Matrix]) -> Matrix:
@@ -502,12 +498,12 @@ def _snapshot(
     step: int,
     merge_id: int,
     net: Network,
-    workers: list[WorkerState] | None,
+    workers: Sequence[WorkerState],
     base_weights: list[Matrix],
     alignment: list[AlignmentReport] | None,
     record_params: bool,
 ) -> Snapshot:
-    weights = _global_weights(net, workers)
+    weights = _effective_weights(net, workers)
     weight_rank = []
     update_rank = []
     for w, w0 in zip(weights, base_weights):
@@ -570,7 +566,7 @@ def run_lte(cfg: RunConfig) -> RunResult:
     merge_rng = root.child("merge")
     do_eval = _eval_enabled(cfg)
 
-    base_weights = _global_weights(net, workers)
+    base_weights = _effective_weights(net, workers)
     snapshots = [_snapshot(0, 0, net, workers, base_weights, None, cfg.record_params)]
     merges: list[UpdateRecord] = []
     losses = []
@@ -591,7 +587,7 @@ def run_lte(cfg: RunConfig) -> RunResult:
                 _snapshot(step, len(merges), net, workers, base_weights, align, cfg.record_params)
             )
         if do_eval:
-            mse = _population_mse(_global_weights(net, workers), task)
+            mse = _population_mse(_effective_weights(net, workers), task)
             eval_mse.append(mse)
             if cfg.stop_mse is not None and mse <= cfg.stop_mse:
                 stopped_at = step
@@ -633,8 +629,8 @@ def run_mhlora(cfg: RunConfig) -> RunResult:
     interval = cfg.snapshot_interval or cfg.merge_period
     do_eval = _eval_enabled(cfg)
 
-    base_weights = _global_weights(net, None)
-    snapshots = [_snapshot(0, 0, net, None, base_weights, None, cfg.record_params)]
+    base_weights = _effective_weights(net)
+    snapshots = [_snapshot(0, 0, net, (), base_weights, None, cfg.record_params)]
     losses = []
     eval_mse = []
     stopped_at = None
@@ -654,17 +650,17 @@ def run_mhlora(cfg: RunConfig) -> RunResult:
         losses.append(row)
         if step % interval == 0:
             snapshots.append(
-                _snapshot(step, 0, net, None, base_weights, _alignment(net), cfg.record_params)
+                _snapshot(step, 0, net, (), base_weights, _alignment(net), cfg.record_params)
             )
         if do_eval:
-            mse = _population_mse(_global_weights(net, None), task)
+            mse = _population_mse(_effective_weights(net), task)
             eval_mse.append(mse)
             if cfg.stop_mse is not None and mse <= cfg.stop_mse:
                 stopped_at = step
                 break
     if snapshots[-1].step != len(losses):
         snapshots.append(
-            _snapshot(len(losses), 0, net, None, base_weights, _alignment(net), cfg.record_params)
+            _snapshot(len(losses), 0, net, (), base_weights, _alignment(net), cfg.record_params)
         )
     return RunResult(
         config=cfg,
@@ -692,8 +688,8 @@ def run_full(cfg: RunConfig) -> RunResult:
     interval = cfg.snapshot_interval or cfg.merge_period
     do_eval = _eval_enabled(cfg)
 
-    base_weights = _global_weights(net, None)
-    snapshots = [_snapshot(0, 0, net, None, base_weights, None, False)]
+    base_weights = _effective_weights(net)
+    snapshots = [_snapshot(0, 0, net, (), base_weights, None, False)]
     losses = []
     eval_mse = []
     stopped_at = None
@@ -704,15 +700,15 @@ def run_full(cfg: RunConfig) -> RunResult:
             layer.W = opt.step((li, "W"), layer.W, grads[li].dW)
         losses.append([loss])
         if step % interval == 0:
-            snapshots.append(_snapshot(step, 0, net, None, base_weights, None, False))
+            snapshots.append(_snapshot(step, 0, net, (), base_weights, None, False))
         if do_eval:
-            mse = _population_mse([layer.W for layer in net.layers], task)
+            mse = _population_mse(_effective_weights(net), task)
             eval_mse.append(mse)
             if cfg.stop_mse is not None and mse <= cfg.stop_mse:
                 stopped_at = step
                 break
     if snapshots[-1].step != len(losses):
-        snapshots.append(_snapshot(len(losses), 0, net, None, base_weights, None, False))
+        snapshots.append(_snapshot(len(losses), 0, net, (), base_weights, None, False))
     return RunResult(
         config=cfg,
         task=task,

@@ -2,13 +2,22 @@
 
 Columns are samples: a batch of b inputs is an (n x b) matrix and losses
 average over the batch, so gradients match the per-sample formulas divided
-by b. Four forward modes exist, one per training regime:
+by b. Every layer computes
 
-  full    -- base weights only (standard training; W receives gradients)
-  single  -- one head at coefficient s (plain single-adapter training)
-  multi   -- all heads at coefficient s/N (joint multi-head training)
-  worker  -- one head at coefficient s/N, optionally with per-layer
-             stale-product corrections (one worker's local view)
+  W x + sum over active terms of  c * (B_h A_h - V) x
+
+and a training regime is nothing more than its choice of terms, one
+(head index h, coefficient c, stale product V) triple per active head:
+
+  full    -- no terms (standard training; W receives gradients)
+  single  -- head h at coefficient s (plain single-adapter training)
+  multi   -- every head at coefficient s/N (joint multi-head training)
+  worker  -- head h at coefficient s/N, optionally with a per-layer
+             stale-product correction V (one worker's local view)
+
+`Mode.terms` is the only place a coefficient is chosen; the forward pass,
+the input gradient, the head gradients, the finite-difference probe and
+`effective_weight` all loop over its terms.
 """
 
 from __future__ import annotations
@@ -23,6 +32,10 @@ from .numerics import Matrix, RandomSource, as_matrix
 ACTIVATIONS = ("identity", "relu")
 LOSSES = ("mse", "softmax_ce")
 MODE_KINDS = ("full", "single", "multi", "worker")
+
+# (head index h, coefficient c, stale product V or None): the layer adds
+# c * (B_h A_h - V) to its base weight.
+Term = tuple[int, float, Matrix | None]
 
 
 @dataclass(frozen=True)
@@ -54,6 +67,20 @@ class Mode:
     @classmethod
     def worker(cls, head: int) -> "Mode":
         return cls("worker", head)
+
+    def terms(self, layer: LoraLinear, correction: Matrix | None = None) -> list[Term]:
+        """The layer's active terms; heads with coefficient zero are left out.
+
+        Only worker mode carries a correction; the other modes ignore it.
+        """
+        if self.kind == "full":
+            return []
+        if self.kind == "single":
+            return [(self.head, layer.s, None)]
+        c = layer.s / layer.num_heads
+        if self.kind == "multi":
+            return [(h, c, None) for h in range(layer.num_heads)]
+        return [(self.head, c, correction)]
 
 
 @dataclass
@@ -115,23 +142,33 @@ def _check_corrections(net: Network, corrections) -> list[Matrix | None]:
     return list(corrections)
 
 
-def _layer_forward(layer: LoraLinear, x: Matrix, mode: Mode, correction: Matrix | None) -> Matrix:
+def _layer_forward(layer: LoraLinear, x: Matrix, terms: list[Term]) -> Matrix:
     out = layer.W @ x
-    if mode.kind == "full":
-        return out
-    if mode.kind == "single":
-        h = layer.heads[mode.head]
-        return out + layer.s * (h.B @ (h.A @ x))
-    c = layer.s / layer.num_heads
-    if mode.kind == "multi":
-        for h in layer.heads:
-            out = out + c * (h.B @ (h.A @ x))
-        return out
-    h = layer.heads[mode.head]
-    out = out + c * (h.B @ (h.A @ x))
-    if correction is not None:
-        out = out - c * (correction @ x)
+    for h, c, v in terms:
+        head = layer.heads[h]
+        out = out + c * (head.B @ (head.A @ x))
+        if v is not None:
+            out = out - c * (v @ x)
     return out
+
+
+def effective_weight(layer: LoraLinear, corrections=None) -> Matrix:
+    """W + (s/N) * (sum_n B_n A_n - sum_n V_n), the weight the multi-head
+    view realizes once each head's stale product V_n is subtracted.
+
+    corrections holds the V_n (None: no stale products). The heads are
+    summed first, then the corrections, then scaled once, in that order.
+    """
+    if not layer.heads:
+        return layer.W.copy()
+    terms = Mode.multi().terms(layer)
+    acc = np.zeros_like(layer.W)
+    for h, _, _ in terms:
+        acc += layer.heads[h].product()
+    if corrections is not None:
+        for v in corrections:
+            acc -= v
+    return layer.W + terms[0][1] * acc  # the multi-head terms share s/N
 
 
 def forward(
@@ -139,8 +176,9 @@ def forward(
 ) -> tuple[Matrix, list[dict]]:
     """Run the network; returns the output and per-layer cached intermediates.
 
-    The cache holds each layer's input and pre-activation output, which is
-    exactly what the backward pass needs.
+    corrections holds one stale product (or None) per layer; only worker
+    mode uses them. The cache holds each layer's input, pre-activation
+    output and resolved terms, which is exactly what the backward pass needs.
     """
     x = as_matrix(inputs, "network inputs")
     if x.shape[0] != net.in_dim:
@@ -148,8 +186,9 @@ def forward(
     corrections = _check_corrections(net, corrections)
     cache = []
     for layer, act, corr in zip(net.layers, net.activations, corrections):
-        z = _layer_forward(layer, x, mode, corr)
-        cache.append({"x": x, "z": z})
+        terms = mode.terms(layer, corr)
+        z = _layer_forward(layer, x, terms)
+        cache.append({"x": x, "z": z, "terms": terms})
         x = np.maximum(z, 0.0) if act == "relu" else z
     return x, cache
 
@@ -194,10 +233,9 @@ def loss_and_grad(
     """Loss plus gradients for every parameter the mode trains.
 
     include_base forces dW on or off regardless of mode (default: on only in
-    full mode). In multi mode, `heads` restricts which heads' gradients are
-    materialized; the backpropagated signal is unaffected.
+    full mode). `heads` restricts which heads' gradients are materialized;
+    the backpropagated signal is unaffected.
     """
-    corrections = _check_corrections(net, corrections)
     out, cache = forward(net, batch.inputs, mode, corrections)
     loss_val, u = _loss_and_output_grad(out, batch, net.loss)
     if include_base is None:
@@ -205,49 +243,29 @@ def loss_and_grad(
     grads = [LayerGradients() for _ in net.layers]
     for i in reversed(range(len(net.layers))):
         layer = net.layers[i]
-        x, z = cache[i]["x"], cache[i]["z"]
+        x, z, terms = cache[i]["x"], cache[i]["z"], cache[i]["terms"]
         if net.activations[i] == "relu":
             u = u * (z > 0.0)
         g = grads[i]
         if include_base:
             g.dW = u @ x.T
-        if mode.kind == "single":
-            _head_grads(g, layer, mode.head, x, u, layer.s)
-        elif mode.kind == "worker":
-            _head_grads(g, layer, mode.head, x, u, layer.s / layer.num_heads)
-        elif mode.kind == "multi":
-            c = layer.s / layer.num_heads
-            wanted = range(layer.num_heads) if heads is None else heads
-            for h_idx in wanted:
-                _head_grads(g, layer, h_idx, x, u, c)
+        for h, c, _ in terms:
+            if heads is None or h in heads:
+                head = layer.heads[h]
+                g.dB[h] = c * (u @ (head.A @ x).T)
+                g.dA[h] = c * ((head.B.T @ u) @ x.T)
         if i > 0:
-            u = _input_grad(layer, mode, corrections[i], u)
+            u = _input_grad(layer, terms, u)
     return loss_val, grads
 
 
-def _head_grads(g: LayerGradients, layer: LoraLinear, h_idx: int, x, u, c: float) -> None:
-    h = layer.heads[h_idx]
-    ax = h.A @ x
-    g.dB[h_idx] = c * (u @ ax.T)
-    g.dA[h_idx] = c * ((h.B.T @ u) @ x.T)
-
-
-def _input_grad(layer: LoraLinear, mode: Mode, correction, u: Matrix) -> Matrix:
+def _input_grad(layer: LoraLinear, terms: list[Term], u: Matrix) -> Matrix:
     dx = layer.W.T @ u
-    if mode.kind == "full":
-        return dx
-    if mode.kind == "single":
-        h = layer.heads[mode.head]
-        return dx + layer.s * (h.A.T @ (h.B.T @ u))
-    c = layer.s / layer.num_heads
-    if mode.kind == "multi":
-        for h in layer.heads:
-            dx = dx + c * (h.A.T @ (h.B.T @ u))
-        return dx
-    h = layer.heads[mode.head]
-    dx = dx + c * (h.A.T @ (h.B.T @ u))
-    if correction is not None:
-        dx = dx - c * (correction.T @ u)
+    for h, c, v in terms:
+        head = layer.heads[h]
+        dx = dx + c * (head.A.T @ (head.B.T @ u))
+        if v is not None:
+            dx = dx - c * (v.T @ u)
     return dx
 
 
@@ -257,14 +275,10 @@ def _trainable_slots(net: Network, mode: Mode, include_base: bool):
     for i, layer in enumerate(net.layers):
         if include_base:
             slots.append((i, "W", None, layer.W))
-        if mode.kind == "single" or mode.kind == "worker":
-            h = layer.heads[mode.head]
-            slots.append((i, "A", mode.head, h.A))
-            slots.append((i, "B", mode.head, h.B))
-        elif mode.kind == "multi":
-            for h_idx, h in enumerate(layer.heads):
-                slots.append((i, "A", h_idx, h.A))
-                slots.append((i, "B", h_idx, h.B))
+        for h, _, _ in mode.terms(layer):
+            head = layer.heads[h]
+            slots.append((i, "A", h, head.A))
+            slots.append((i, "B", h, head.B))
     return slots
 
 

@@ -7,14 +7,11 @@ the pre-step parameter value, independently of the adaptive term.
 
 from __future__ import annotations
 
-import json
-import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Matrix, load_matrix_csv, save_matrix_csv
+from .numerics import Matrix
 
 
 @dataclass(frozen=True)
@@ -78,45 +75,3 @@ def adamw_step(
     v_hat = v / (1.0 - cfg.beta2**t)
     new = param - cfg.eta * cfg.weight_decay * param - cfg.eta * m_hat / (np.sqrt(v_hat) + cfg.eps)
     return new, AdamState(m=m, v=v, step_count=t)
-
-
-def schedule_eta(
-    kind: str, base_eta: float, step: int, total_steps: int, warmup_steps: int = 0
-) -> float:
-    """Learning-rate schedule: "constant" or "warmup_cosine".
-
-    warmup_cosine ramps linearly over warmup_steps, then follows a cosine
-    decay to zero at total_steps. Plumbing for parity with larger setups;
-    runners default to constant.
-    """
-    if kind == "constant":
-        return base_eta
-    if kind != "warmup_cosine":
-        raise ValueError(f"unknown schedule {kind!r}")
-    if warmup_steps > 0 and step < warmup_steps:
-        return base_eta * (step + 1) / warmup_steps
-    span = max(1, total_steps - warmup_steps)
-    frac = min(1.0, (step - warmup_steps) / span)
-    return base_eta * 0.5 * (1.0 + math.cos(math.pi * frac))
-
-
-def save_adam_state(state: AdamState, directory: str | os.PathLike, name: str) -> None:
-    """Serialize an AdamState as JSON metadata plus CSV moment matrices."""
-    directory = os.fspath(directory)
-    os.makedirs(directory, exist_ok=True)
-    meta = {"step_count": state.step_count, "shape": list(state.m.shape)}
-    with open(os.path.join(directory, f"{name}.json"), "w", encoding="ascii") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-    save_matrix_csv(state.m, os.path.join(directory, f"{name}_m.csv"))
-    save_matrix_csv(state.v, os.path.join(directory, f"{name}_v.csv"))
-
-
-def load_adam_state(directory: str | os.PathLike, name: str) -> AdamState:
-    directory = os.fspath(directory)
-    with open(os.path.join(directory, f"{name}.json"), "r", encoding="ascii") as fh:
-        meta = json.load(fh)
-    m = load_matrix_csv(os.path.join(directory, f"{name}_m.csv"))
-    v = load_matrix_csv(os.path.join(directory, f"{name}_v.csv"))
-    if list(m.shape) != meta["shape"] or list(v.shape) != meta["shape"]:
-        raise ValueError(f"optimizer state {name}: stored shapes disagree with metadata")
-    return AdamState(m=m, v=v, step_count=int(meta["step_count"]))

@@ -1,18 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from ltelab.layers import (
-    LoraHead,
-    LoraLinear,
-    effective_weight,
-    load_layer,
-    lora_backward,
-    lora_forward,
-    mhlora_forward,
-    save_layer,
-    split_product,
-    worker_view_forward,
-)
+from ltelab.layers import LoraHead, LoraLinear, split_product
+from ltelab.network import Batch, Mode, Network, effective_weight, fd_check, forward, loss_and_grad
 from ltelab.numerics import InitScheme, RandomSource
 
 
@@ -24,6 +16,12 @@ def random_layer(rng, m=5, n=4, r=2, n_heads=3, alpha=None, zero_b=False):
         heads.append(LoraHead(A=a, B=b))
     w = rng.child("W").standard_normal((m, n))
     return LoraLinear(W=w, alpha=float(alpha if alpha is not None else r), heads=heads)
+
+
+def layer_out(layer, x, mode, correction=None):
+    """One layer's output under `mode`, through the network forward pass."""
+    out, _ = forward(Network([layer]), x, mode, None if correction is None else [correction])
+    return out
 
 
 class TestConstruction:
@@ -53,9 +51,9 @@ class TestForwards:
         layer = random_layer(RandomSource(3), zero_b=True)
         x = RandomSource(4).standard_normal((4, 6))
         expected = layer.W @ x
-        np.testing.assert_array_equal(lora_forward(layer, 0, x), expected)
-        np.testing.assert_array_equal(mhlora_forward(layer, x), expected)
-        np.testing.assert_array_equal(worker_view_forward(layer, 1, x), expected)
+        np.testing.assert_array_equal(layer_out(layer, x, Mode.single(0)), expected)
+        np.testing.assert_array_equal(layer_out(layer, x, Mode.multi()), expected)
+        np.testing.assert_array_equal(layer_out(layer, x, Mode.worker(1)), expected)
 
     def test_single_head_hand_case(self):
         # W = 0, s = 2 via alpha=2 r=1, B A x picks the second coordinate
@@ -63,7 +61,7 @@ class TestForwards:
             W=np.zeros((2, 2)), alpha=2.0,
             heads=[LoraHead(A=np.array([[0.0, 1.0]]), B=np.array([[1.0], [0.0]]))],
         )
-        out = lora_forward(layer, 0, np.array([[3.0], [4.0]]))
+        out = layer_out(layer, np.array([[3.0], [4.0]]), Mode.single(0))
         np.testing.assert_array_equal(out, np.array([[8.0], [0.0]]))
 
     def test_large_alpha_scale_in_forward(self):
@@ -72,12 +70,12 @@ class TestForwards:
             heads=[LoraHead(A=np.eye(64), B=np.eye(64))],
         )
         x = np.ones((64, 1))
-        np.testing.assert_array_equal(lora_forward(layer, 0, x), 64.0 * x)
+        np.testing.assert_array_equal(layer_out(layer, x, Mode.single(0)), 64.0 * x)
 
     def test_mhlora_single_head_degenerates(self):
         layer = random_layer(RandomSource(5), n_heads=1)
         x = RandomSource(6).standard_normal((4, 3))
-        assert np.abs(mhlora_forward(layer, x) - lora_forward(layer, 0, x)).max() <= 1e-15
+        np.testing.assert_array_equal(layer_out(layer, x, Mode.multi()), layer_out(layer, x, Mode.single(0)))
 
     def test_mhlora_duplicate_heads(self):
         rng = RandomSource(7)
@@ -87,12 +85,12 @@ class TestForwards:
         layer = LoraLinear(W=w, alpha=2.0, heads=[LoraHead(A=a, B=b), LoraHead(A=a.copy(), B=b.copy())])
         x = rng.child("x").standard_normal((4, 3))
         expected = w @ x + layer.s * (b @ (a @ x))
-        np.testing.assert_allclose(mhlora_forward(layer, x), expected, atol=1e-13)
+        np.testing.assert_allclose(layer_out(layer, x, Mode.multi()), expected, atol=1e-13)
 
     def test_worker_view_single_worker_equals_lora(self):
         layer = random_layer(RandomSource(8), n_heads=1)
         x = RandomSource(9).standard_normal((4, 3))
-        np.testing.assert_array_equal(worker_view_forward(layer, 0, x), lora_forward(layer, 0, x))
+        np.testing.assert_array_equal(layer_out(layer, x, Mode.worker(0)), layer_out(layer, x, Mode.single(0)))
 
     def test_worker_shares_sum_to_multi_head(self):
         # the N worker views jointly realize the multi-head map: the base plus
@@ -102,21 +100,21 @@ class TestForwards:
         base = layer.W @ x
         acc = base.copy()
         for h in range(4):
-            acc += worker_view_forward(layer, h, x) - base
-        np.testing.assert_allclose(acc, mhlora_forward(layer, x), atol=1e-13)
+            acc += layer_out(layer, x, Mode.worker(h)) - base
+        np.testing.assert_allclose(acc, layer_out(layer, x, Mode.multi()), atol=1e-13)
 
     def test_worker_view_correction(self):
         layer = random_layer(RandomSource(12), n_heads=2)
         x = RandomSource(13).standard_normal((4, 3))
         v = RandomSource(14).standard_normal((5, 4))
         c = layer.s / 2
-        expected = worker_view_forward(layer, 0, x) - c * (v @ x)
-        np.testing.assert_allclose(worker_view_forward(layer, 0, x, correction=v), expected, atol=1e-14)
+        expected = layer_out(layer, x, Mode.worker(0)) - c * (v @ x)
+        np.testing.assert_allclose(layer_out(layer, x, Mode.worker(0), correction=v), expected, atol=1e-14)
 
     def test_shape_errors(self):
         layer = random_layer(RandomSource(15))
         with pytest.raises(ValueError):
-            lora_forward(layer, 0, np.ones((3, 2)))
+            layer_out(layer, np.ones((3, 2)), Mode.single(0))
 
 
 class TestEffectiveWeight:
@@ -131,11 +129,13 @@ class TestEffectiveWeight:
         ]
         layer = LoraLinear(W=np.zeros((1, 1)), alpha=1.0, heads=heads)
         np.testing.assert_array_equal(effective_weight(layer), [[2.0]])
+        # stale products come off before the shared s/N scale
+        np.testing.assert_array_equal(effective_weight(layer, [[[1.0]], [[2.0]]]), [[0.5]])
 
     def test_forward_consistency(self):
         layer = random_layer(RandomSource(17), n_heads=3)
         x = RandomSource(18).standard_normal((4, 6))
-        np.testing.assert_allclose(effective_weight(layer) @ x, mhlora_forward(layer, x), atol=1e-12)
+        np.testing.assert_allclose(effective_weight(layer) @ x, layer_out(layer, x, Mode.multi()), atol=1e-12)
 
 
 class TestSplitProduct:
@@ -181,59 +181,120 @@ class TestSplitProduct:
 
 class TestBackward:
     def test_zero_upstream(self):
+        # targets equal to the output make the upstream gradient exactly zero
         layer = random_layer(RandomSource(22))
         x = RandomSource(23).standard_normal((4, 3))
-        g = lora_backward(layer, 0, x, np.zeros((5, 3)), "full", with_base=True)
-        np.testing.assert_array_equal(g.dA[0], np.zeros((2, 4)))
-        np.testing.assert_array_equal(g.dB[0], np.zeros((5, 2)))
-        np.testing.assert_array_equal(g.dW, np.zeros((5, 4)))
+        net = Network([layer])
+        batch = Batch(inputs=x, targets=layer_out(layer, x, Mode.single(0)))
+        _, grads = loss_and_grad(net, batch, Mode.single(0), include_base=True)
+        np.testing.assert_array_equal(grads[0].dA[0], np.zeros((2, 4)))
+        np.testing.assert_array_equal(grads[0].dB[0], np.zeros((5, 2)))
+        np.testing.assert_array_equal(grads[0].dW, np.zeros((5, 4)))
 
     def test_scalar_chain_rule(self):
-        # 1-D case: dB = u*a*x, dA = b*u*x at s = 1
+        # 1-D case at s = 1 with upstream u = 0.5: dB = u*a*x, dA = b*u*x
         layer = LoraLinear(
             W=np.zeros((1, 1)), alpha=1.0,
             heads=[LoraHead(A=np.array([[0.7]]), B=np.array([[-1.3]]))],
         )
-        g = lora_backward(layer, 0, np.array([[2.0]]), np.array([[0.5]]), "full")
-        np.testing.assert_allclose(g.dB[0], [[0.5 * 0.7 * 2.0]])
-        np.testing.assert_allclose(g.dA[0], [[-1.3 * 0.5 * 2.0]])
+        x = np.array([[2.0]])
+        target = layer_out(layer, x, Mode.single(0)) - 0.5
+        _, grads = loss_and_grad(Network([layer]), Batch(inputs=x, targets=target), Mode.single(0))
+        np.testing.assert_allclose(grads[0].dB[0], [[0.5 * 0.7 * 2.0]])
+        np.testing.assert_allclose(grads[0].dA[0], [[-1.3 * 0.5 * 2.0]])
 
     def test_matches_finite_differences(self):
-        # loss L = sum(upstream * forward) makes `upstream` the exact output gradient
         rng = RandomSource(24)
         for trial in range(5):
-            layer = random_layer(rng.child(trial), m=4, n=3, r=2, n_heads=2)
-            x = rng.child("x", trial).standard_normal((3, 2))
-            upstream = rng.child("u", trial).standard_normal((4, 2))
-            for scale_mode, fwd in (
-                ("full", lambda: lora_forward(layer, 1, x)),
-                ("shared", lambda: worker_view_forward(layer, 1, x)),
-            ):
-                g = lora_backward(layer, 1, x, upstream, scale_mode)
-                h = layer.heads[1]
-                for arr, analytic in ((h.A, g.dA[1]), (h.B, g.dB[1])):
-                    flat = int(rng.child("idx", trial).integers(0, arr.size))
-                    old = arr.flat[flat]
-                    arr.flat[flat] = old + 1e-6
-                    hi = float(np.sum(upstream * fwd()))
-                    arr.flat[flat] = old - 1e-6
-                    lo = float(np.sum(upstream * fwd()))
-                    arr.flat[flat] = old
-                    fd = (hi - lo) / 2e-6
-                    assert abs(analytic.flat[flat] - fd) <= 1e-6 * max(1.0, abs(fd))
-
-    def test_scale_mode_validated(self):
-        layer = random_layer(RandomSource(25))
-        with pytest.raises(ValueError):
-            lora_backward(layer, 0, np.ones((4, 1)), np.ones((5, 1)), "mean")
+            net = Network([random_layer(rng.child(trial), m=4, n=3, r=2, n_heads=2)])
+            batch = Batch(
+                inputs=rng.child("x", trial).standard_normal((3, 2)),
+                targets=rng.child("y", trial).standard_normal((4, 2)),
+            )
+            for mode in (Mode.single(1), Mode.worker(1)):
+                assert fd_check(net, batch, mode, rng=rng.child("probe", trial)) <= 1e-6
 
 
-def test_checkpoint_round_trip(tmp_path):
-    layer = random_layer(RandomSource(26), m=6, n=4, r=2, n_heads=2, alpha=8.0)
-    save_layer(layer, tmp_path, "layer0")
-    loaded = load_layer(tmp_path, "layer0")
-    np.testing.assert_array_equal(loaded.W, layer.W)
-    assert loaded.alpha == layer.alpha
-    for ha, hb in zip(loaded.heads, layer.heads):
-        np.testing.assert_array_equal(ha.A, hb.A)
-        np.testing.assert_array_equal(ha.B, hb.B)
+
+
+@st.composite
+def layer_shapes(draw, max_dim=6, max_heads=4):
+    """(m, n, r, N, head, seed) for a random layer and one of its heads."""
+    m = draw(st.integers(1, max_dim))
+    n = draw(st.integers(1, max_dim))
+    r = draw(st.integers(1, min(m, n)))
+    n_heads = draw(st.integers(1, max_heads))
+    head = draw(st.integers(0, n_heads - 1))
+    return m, n, r, n_heads, head, draw(st.integers(0, 2**32 - 1))
+
+
+PROPERTY_SETTINGS = settings(max_examples=60, derandomize=True, deadline=None)
+
+
+class TestProperties:
+    @PROPERTY_SETTINGS
+    @given(layer_shapes())
+    def test_multi_forward_is_effective_weight(self, shape):
+        m, n, r, n_heads, _, seed = shape
+        rng = RandomSource(seed)
+        layer = random_layer(rng, m=m, n=n, r=r, n_heads=n_heads)
+        x = rng.child("x").standard_normal((n, 3))
+        np.testing.assert_allclose(
+            layer_out(layer, x, Mode.multi()), effective_weight(layer) @ x, rtol=1e-10, atol=1e-10
+        )
+        # with stale products V_n, the corrected worker shares sum to the
+        # corrected effective weight
+        vs = [rng.child("V", h).standard_normal((m, n)) for h in range(n_heads)]
+        base = layer.W @ x
+        acc = base.copy()
+        for h in range(n_heads):
+            acc += layer_out(layer, x, Mode.worker(h), correction=vs[h]) - base
+        np.testing.assert_allclose(acc, effective_weight(layer, vs) @ x, rtol=1e-10, atol=1e-10)
+
+    @PROPERTY_SETTINGS
+    @given(layer_shapes(max_heads=1))
+    def test_one_head_views_bitwise_equal(self, shape):
+        m, n, r, _, _, seed = shape
+        rng = RandomSource(seed)
+        layer = random_layer(rng, m=m, n=n, r=r, n_heads=1)
+        x = rng.child("x").standard_normal((n, 3))
+        single = layer_out(layer, x, Mode.single(0))
+        np.testing.assert_array_equal(layer_out(layer, x, Mode.multi()), single)
+        np.testing.assert_array_equal(layer_out(layer, x, Mode.worker(0)), single)
+
+    @PROPERTY_SETTINGS
+    @given(layer_shapes(), st.integers(1, 6))
+    def test_fd_check_every_mode_two_layer_relu(self, shape, hidden):
+        m, n, r, n_heads, head, seed = shape
+        r = min(r, hidden)
+        rng = RandomSource(seed)
+        # fan-scaled weights keep the loss O(1), so central-difference rounding
+        # noise stays far below the tolerance
+        layers = [
+            random_layer(rng.child("l0"), m=hidden, n=n, r=r, n_heads=n_heads),
+            random_layer(rng.child("l1"), m=m, n=hidden, r=r, n_heads=n_heads),
+        ]
+        for layer in layers:
+            layer.W = layer.W / np.sqrt(layer.n)
+            for h in layer.heads:
+                h.A, h.B = h.A / np.sqrt(layer.n), 0.5 * h.B
+        net = Network(layers, activations=["relu", "identity"])
+        batch = Batch(
+            inputs=rng.child("x").standard_normal((n, 3)),
+            targets=rng.child("y").standard_normal((m, 3)),
+        )
+        corr = [rng.child("V", i).standard_normal(layer.W.shape) / np.sqrt(layer.n)
+                for i, layer in enumerate(layers)]
+        modes = ((Mode.full(), None), (Mode.single(head), None), (Mode.multi(), None),
+                 (Mode.worker(head), None), (Mode.worker(head), corr))
+        # keep the hidden pre-activations away from the ReLU kink in every mode
+        for mode, c in modes:
+            _, cache = forward(net, batch.inputs, mode, c)
+            assume(np.abs(cache[0]["z"]).min() > 1e-2)
+        # away from kinks the loss is quadratic in each coordinate, so central
+        # differences carry no truncation error; step 1e-4 keeps their rounding
+        # noise below 1e-6 of even the small gradients tiny shapes produce
+        for mode, c in modes:
+            err = fd_check(net, batch, mode, step=1e-4, corrections=c,
+                           rng=rng.child("probe", mode.kind))
+            assert err <= 1e-6, (mode, c is not None, err)

@@ -13,6 +13,7 @@ from ltelab.lte import (
     MergePolicy,
     PooledStream,
     WorkerState,
+    _eval_enabled,
     config_from_dict,
     local_step,
     merge,
@@ -360,6 +361,23 @@ class TestConfig:
         bad = dataclasses.replace(cfg, dataset=dataclasses.replace(cfg.dataset, m=8, rank=8))
         with pytest.raises(ConfigError, match="arch.dims"):
             bad.validate()
+
+    @pytest.mark.parametrize("activation,loss,defined", [
+        ("identity", "mse", True), ("relu", "mse", False), ("identity", "softmax_ce", False),
+    ])
+    def test_stop_mse_needs_population_mse(self, activation, loss, defined):
+        # validate() and the runners' eval switch share one predicate
+        cfg = ls_config(mode="lte", dim=8, stop_mse=1e-3)
+        cfg = dataclasses.replace(
+            cfg, arch=dataclasses.replace(cfg.arch, dims=(8, 8, 8), activation=activation, loss=loss)
+        )
+        assert _eval_enabled(cfg) is defined
+        if defined:
+            cfg.validate()
+        else:
+            with pytest.raises(ConfigError, match="^stop_mse:"):
+                cfg.validate()
+            dataclasses.replace(cfg, stop_mse=None).validate()
 
     def test_run_dispatch_validates_mode(self):
         cfg = ls_config(mode="lte")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ltelab.layers import LoraHead, LoraLinear, lora_forward, mhlora_forward, worker_view_forward
+from ltelab.layers import LoraHead, LoraLinear
 from ltelab.network import Batch, Mode, Network, fd_check, forward, loss_and_grad, loss_value
 from ltelab.numerics import InitScheme, RandomSource
 
@@ -29,19 +29,23 @@ def mse_batch(rng, net, b=3):
 
 
 class TestForward:
-    def test_one_layer_matches_layer_ops(self):
+    def test_one_layer_matches_hand_formulas(self):
         net = random_net(RandomSource(0))
         layer = net.layers[0]
+        (a0, b0), (a1, b1) = [(h.A, h.B) for h in layer.heads]
+        s = layer.s
         x = RandomSource(1).standard_normal((4, 3))
+        v = RandomSource(2).standard_normal((5, 4))
         cases = [
-            (Mode.full(), layer.W @ x),
-            (Mode.single(1), lora_forward(layer, 1, x)),
-            (Mode.multi(), mhlora_forward(layer, x)),
-            (Mode.worker(0), worker_view_forward(layer, 0, x)),
+            (Mode.full(), None, layer.W @ x),
+            (Mode.single(1), None, layer.W @ x + s * b1 @ a1 @ x),
+            (Mode.multi(), None, layer.W @ x + s / 2 * (b0 @ a0 + b1 @ a1) @ x),
+            (Mode.worker(0), None, layer.W @ x + s / 2 * b0 @ a0 @ x),
+            (Mode.worker(0), [v], layer.W @ x + s / 2 * (b0 @ a0 - v) @ x),
         ]
-        for mode, expected in cases:
-            out, _ = forward(net, x, mode)
-            np.testing.assert_array_equal(out, expected)
+        for mode, corr, expected in cases:
+            out, _ = forward(net, x, mode, corr)
+            np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
     def test_two_layer_zero_heads_composes(self):
         net = random_net(RandomSource(2), dims=(4, 5, 3), zero_b=True)
@@ -82,6 +86,44 @@ class TestForward:
             Mode("single")
         with pytest.raises(ValueError):
             Mode("multi", head=0)
+
+
+class TestModeTerms:
+    def test_terms_table(self):
+        layer = random_net(RandomSource(30), n_heads=4).layers[0]
+        v = np.ones_like(layer.W)
+        c = layer.s / 4
+        assert Mode.full().terms(layer, v) == []
+        assert Mode.single(2).terms(layer, v) == [(2, layer.s, None)]
+        assert Mode.multi().terms(layer, v) == [(h, c, None) for h in range(4)]
+        assert Mode.worker(3).terms(layer) == [(3, c, None)]
+        [(h, coef, corr)] = Mode.worker(3).terms(layer, v)
+        assert (h, coef) == (3, c) and corr is v
+
+    def test_worker_reads_only_its_head(self):
+        # heads outside the mode's terms are never touched: poisoning them
+        # leaves the worker's loss and gradients finite
+        net = random_net(RandomSource(31), dims=(4, 5, 3), n_heads=3)
+        batch = mse_batch(RandomSource(32), net)
+        for layer in net.layers:
+            for i in (0, 2):
+                layer.heads[i].A = np.full_like(layer.heads[i].A, np.nan)
+        loss, grads = loss_and_grad(net, batch, Mode.worker(1))
+        assert np.isfinite(loss)
+        for g in grads:
+            assert list(g.dA) == [1] and list(g.dB) == [1]
+            assert np.isfinite(g.dA[1]).all() and np.isfinite(g.dB[1]).all()
+
+    def test_heads_restricts_materialized_gradients(self):
+        net = random_net(RandomSource(33), dims=(4, 5, 3), n_heads=3)
+        batch = mse_batch(RandomSource(34), net)
+        loss_all, all_grads = loss_and_grad(net, batch, Mode.multi())
+        loss_one, one_grads = loss_and_grad(net, batch, Mode.multi(), heads=(2,))
+        assert loss_one == loss_all
+        for g, g_all in zip(one_grads, all_grads):
+            assert list(g.dA) == [2] and list(g.dB) == [2]
+            np.testing.assert_array_equal(g.dA[2], g_all.dA[2])
+            np.testing.assert_array_equal(g.dB[2], g_all.dB[2])
 
 
 class TestLosses:

@@ -1,15 +1,7 @@
 import numpy as np
 import pytest
 
-from ltelab.optim import (
-    AdamState,
-    OptimConfig,
-    adamw_step,
-    load_adam_state,
-    save_adam_state,
-    schedule_eta,
-    sgd_step,
-)
+from ltelab.optim import AdamState, OptimConfig, adamw_step, sgd_step
 
 
 class TestSgd:
@@ -121,22 +113,3 @@ class TestConfigValidation:
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             OptimConfig(**kwargs)
-
-
-def test_schedule_eta():
-    assert schedule_eta("constant", 0.1, 5, 100) == 0.1
-    warm = [schedule_eta("warmup_cosine", 0.1, s, 100, warmup_steps=10) for s in range(10)]
-    assert warm[0] < warm[-1] <= 0.1
-    assert schedule_eta("warmup_cosine", 0.1, 100, 100, warmup_steps=10) <= 1e-12
-    with pytest.raises(ValueError):
-        schedule_eta("linear", 0.1, 0, 10)
-
-
-def test_adam_state_round_trip(tmp_path):
-    rng = np.random.default_rng(3)
-    st = AdamState(m=rng.standard_normal((4, 3)), v=np.abs(rng.standard_normal((4, 3))), step_count=17)
-    save_adam_state(st, tmp_path, "layer0_A")
-    loaded = load_adam_state(tmp_path, "layer0_A")
-    np.testing.assert_array_equal(loaded.m, st.m)
-    np.testing.assert_array_equal(loaded.v, st.v)
-    assert loaded.step_count == 17
