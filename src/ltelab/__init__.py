@@ -51,6 +51,8 @@ from .numerics import (
     RandomSource,
     init_matrix,
     load_matrix_csv,
+    matmul,
+    quantize_emulate,
     save_matrix_csv,
     svd,
 )

@@ -214,7 +214,13 @@ class TestBackward:
             for mode in (Mode.single(1), Mode.worker(1)):
                 assert fd_check(net, batch, mode, rng=rng.child("probe", trial)) <= 1e-6
 
-
+    def test_scale_mode_validated(self):
+        # the head coefficient comes from the Mode, which accepts only its own kinds
+        net = Network([random_layer(RandomSource(25))])
+        batch = Batch(inputs=np.ones((4, 1)), targets=np.ones((5, 1)))
+        for bad in (lambda: Mode("mean"), lambda: Mode("worker"), lambda: Mode("multi", 0)):
+            with pytest.raises(ValueError):
+                loss_and_grad(net, batch, bad())
 
 
 @st.composite

@@ -29,7 +29,7 @@ def mse_batch(rng, net, b=3):
 
 
 class TestForward:
-    def test_one_layer_matches_hand_formulas(self):
+    def test_one_layer_matches_layer_ops(self):
         net = random_net(RandomSource(0))
         layer = net.layers[0]
         (a0, b0), (a1, b1) = [(h.A, h.B) for h in layer.heads]

@@ -6,9 +6,36 @@ from ltelab.numerics import (
     RandomSource,
     init_matrix,
     load_matrix_csv,
+    matmul,
+    quantize_emulate,
     save_matrix_csv,
     svd,
 )
+
+
+class TestMatmul:
+    def test_identity(self):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((2, 7))
+        np.testing.assert_array_equal(matmul(np.eye(2), x), x)
+
+    def test_hand_product(self):
+        a = np.array([[1.0, 2.0], [3.0, 4.0]])
+        b = np.array([[1.0], [1.0]])
+        np.testing.assert_array_equal(matmul(a, b), [[3.0], [7.0]])
+
+    def test_associativity(self):
+        rng = np.random.default_rng(1)
+        a = rng.standard_normal((3, 4))
+        b = rng.standard_normal((4, 5))
+        c = rng.standard_normal((5, 2))
+        left = matmul(matmul(a, b), c)
+        right = matmul(a, matmul(b, c))
+        assert np.abs(left - right).max() <= 1e-12
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            matmul(np.ones((2, 3)), np.ones((2, 3)))
 
 
 class TestSvd:
@@ -85,6 +112,46 @@ class TestInitMatrix:
     def test_bad_kind(self):
         with pytest.raises(ValueError):
             InitScheme("glorot")
+
+
+class TestQuantize:
+    def test_zero_matrix(self):
+        for bits in (2, 4, 8):
+            np.testing.assert_array_equal(quantize_emulate(np.zeros((3, 3)), bits), np.zeros((3, 3)))
+
+    def test_two_bit_levels(self):
+        # levels at 2 bits are {-1, 0, +1}; +-1 are exactly representable
+        np.testing.assert_array_equal(
+            quantize_emulate(np.array([[1.0, -1.0]]), 2), np.array([[1.0, -1.0]])
+        )
+
+    def test_step_size_bound(self):
+        rng = np.random.default_rng(11)
+        m = rng.standard_normal((8, 8)) * 3.0
+        q = quantize_emulate(m, 4)
+        absmax = np.abs(m).max(axis=1, keepdims=True)
+        bound = absmax / 7 / 2
+        assert np.all(np.abs(q - m) <= bound + 1e-12)
+
+    def test_idempotent(self):
+        rng = np.random.default_rng(12)
+        for bits in (2, 3, 4, 8):
+            m = rng.standard_normal((5, 9))
+            q = quantize_emulate(m, bits)
+            np.testing.assert_array_equal(quantize_emulate(q, bits), q)
+
+    def test_sign_preserved_away_from_ties(self):
+        rng = np.random.default_rng(13)
+        m = rng.standard_normal((6, 6))
+        q = quantize_emulate(m, 6)
+        step = np.abs(m).max(axis=1, keepdims=True) / 31
+        clear = np.abs(m) > 0.51 * step  # strictly beyond the first tie
+        assert np.all(np.sign(q[clear]) == np.sign(m[clear]))
+
+    def test_bits_range(self):
+        for bad in (1, 9):
+            with pytest.raises(ValueError):
+                quantize_emulate(np.ones((2, 2)), bad)
 
 
 class TestRandomSource:
