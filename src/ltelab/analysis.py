@@ -117,12 +117,11 @@ def head_alignment(layer: LoraLinear, rank_tol: float = 1e-10) -> AlignmentRepor
             excluded.append(i)
             bases.append(None)
             continue
-        sv = singular_values(p)
+        u, sv, _ = svd(p)
         if int(np.sum(sv > rank_tol * sv[0])) < r:
             excluded.append(i)
             bases.append(None)
         else:
-            u, _, _ = svd(p)
             bases.append(u[:, :r])
 
     cosine = np.eye(n_heads)

@@ -1,7 +1,8 @@
 """LoRA-parameterized linear layers: the parameters, not the algebra.
 
 A layer is a frozen base weight W (m x n) plus N low-rank heads, each a pair
-B (m x r), A (r x n), sharing the scale s = alpha / r. What a layer computes
+B (m x r), A (r x n), sharing the scale s = alpha / r; the layer stores them
+stacked, A as (N, r, n) and B as (N, m, r). What a layer computes
 depends on which heads are active and at what coefficient; that choice is
 made in one place, `ltelab.network.Mode.terms`.
 """
@@ -17,8 +18,9 @@ from .numerics import InitScheme, Matrix, RandomSource, as_matrix, init_matrix
 
 @dataclass
 class LoraHead:
-    """One adapter pair. B is zero right after construction so a fresh head
-    leaves the layer's function unchanged."""
+    """One adapter pair, as handed to `LoraLinear`, which copies it into its
+    stacks. B is zero right after construction so a fresh head leaves the
+    layer's function unchanged."""
 
     A: Matrix  # (r, n)
     B: Matrix  # (m, r)
@@ -42,12 +44,55 @@ class LoraHead:
         """New head: A drawn from `scheme`, B all-zero."""
         return cls(A=init_matrix(r, n, scheme, rng), B=np.zeros((m, r)))
 
+
+class HeadView:
+    """One head of a layer (`layer.heads[i]`): A and B are views on the
+    layer's stacks, and assigning either writes into them (shape checked,
+    copied in)."""
+
+    __slots__ = ("_A", "_B")
+
+    def __init__(self, A: Matrix, B: Matrix):
+        self._A = A
+        self._B = B
+
+    @property
+    def A(self) -> Matrix:
+        return self._A
+
+    @A.setter
+    def A(self, value) -> None:
+        _write(self._A, value, "head A")
+
+    @property
+    def B(self) -> Matrix:
+        return self._B
+
+    @B.setter
+    def B(self, value) -> None:
+        _write(self._B, value, "head B")
+
+    @property
+    def rank(self) -> int:
+        return self._A.shape[0]
+
     def product(self) -> Matrix:
-        return self.B @ self.A
+        return self._B @ self._A
+
+
+def _write(target: Matrix, value, what: str) -> None:
+    if np.shape(value) != target.shape:
+        raise ValueError(f"{what} must keep its shape {target.shape}, got {np.shape(value)}")
+    target[...] = value
 
 
 class LoraLinear:
     """Frozen base weight plus N LoRA heads with scale s = alpha / r.
+
+    The heads are stored stacked: A is (N, r, n) and B is (N, m, r), so any
+    run of consecutive heads is one view and k workers' local steps are one
+    batched matmul. The stacks are written in place, never rebound;
+    `heads[i]` reads and writes head i through them.
 
     W is only ever replaced by merge operations; between merges it is shared
     read-only, and each head is owned by exactly one worker.
@@ -58,13 +103,31 @@ class LoraLinear:
         if not alpha > 0:
             raise ValueError(f"alpha must be > 0, got {alpha}")
         self.alpha = float(alpha)
-        self.heads = list(heads)
         m, n = self.W.shape
-        for i, h in enumerate(self.heads):
+        for i, h in enumerate(heads):
             if h.B.shape[0] != m or h.A.shape[1] != n:
                 raise ValueError(f"head {i} shape does not match the {m}x{n} base weight")
-            if h.rank != self.heads[0].rank:
+            if h.rank != heads[0].rank:
                 raise ValueError("all heads of a layer must share one rank")
+        r = heads[0].rank if heads else 0
+        self.A = np.array([h.A for h in heads], dtype=np.float64).reshape(len(heads), r, n)
+        self.B = np.array([h.B for h in heads], dtype=np.float64).reshape(len(heads), m, r)
+        # per-head views, made once: the stacks are never rebound
+        self._factors = tuple((self.A[i], self.B[i]) for i in range(len(heads)))
+        self._heads = tuple(HeadView(a, b) for a, b in self._factors)
+
+    @property
+    def heads(self) -> tuple[HeadView, ...]:
+        return self._heads
+
+    def factors(self, heads: int | range) -> tuple[Matrix, Matrix]:
+        """(A, B) as views on the stacks: (r, n) and (m, r) for one head
+        index, (k, r, n) and (k, m, r) for a range of k consecutive heads."""
+        if not isinstance(heads, range):
+            return self._factors[heads]
+        if heads.stop > self.num_heads:
+            raise IndexError(f"heads {heads} exceed the layer's {self.num_heads}")
+        return self.A[heads.start:heads.stop], self.B[heads.start:heads.stop]
 
     @property
     def m(self) -> int:
@@ -76,13 +139,13 @@ class LoraLinear:
 
     @property
     def rank(self) -> int:
-        if not self.heads:
+        if not self.num_heads:
             raise ValueError("layer has no heads")
-        return self.heads[0].rank
+        return self.A.shape[1]
 
     @property
     def num_heads(self) -> int:
-        return len(self.heads)
+        return self.A.shape[0]
 
     @property
     def s(self) -> float:
@@ -94,11 +157,12 @@ class LoraLinear:
 
 @dataclass
 class LayerGradients:
-    """Gradients for one layer; head entries are keyed by head index."""
+    """Gradients for one layer. Head entries are keyed like the mode's terms:
+    by head index, or by a range of k heads holding their (k, ...) stack."""
 
     dW: Matrix | None = None
-    dA: dict[int, Matrix] = field(default_factory=dict)
-    dB: dict[int, Matrix] = field(default_factory=dict)
+    dA: dict[int | range, Matrix] = field(default_factory=dict)
+    dB: dict[int | range, Matrix] = field(default_factory=dict)
 
 
 def split_product(B: Matrix, A: Matrix, k: int) -> tuple[tuple[Matrix, Matrix], tuple[Matrix, Matrix]]:

@@ -13,7 +13,9 @@ Also here: the joint multi-head runner (the T = 1 oracle) and the full-weight
 baseline, all driven by one seeded, deterministic configuration. Workers may
 conceptually run in parallel: between merges W is read-only, each head is
 owned by exactly one worker, and merge reduction sums heads in index order,
-so results never depend on worker execution order.
+so results never depend on worker execution order. The runner emulates that
+parallelism with one batched step for all N workers per training step, on the
+layers' stacked heads.
 """
 
 from __future__ import annotations
@@ -266,6 +268,30 @@ class KeyedOptimizer:
         self.states.clear()
 
 
+def _stacked_step(opts: list[KeyedOptimizer], key, param: Matrix, grad: Matrix) -> Matrix:
+    """One update of a (k, ...) parameter stack, slice j under opts[j]'s
+    state for `key`; the optimizers must share kind and configuration. The
+    arithmetic is element-wise, so every slice moves exactly as its own
+    KeyedOptimizer.step would move it."""
+    opt = opts[0]
+    if opt.kind == "sgd":
+        return sgd_step(param, grad, opt.cfg.eta)
+    zero = AdamState.zeros(param.shape[1:])
+    states = [o.states.get(key, zero) for o in opts]
+    counts = {st.step_count for st in states}
+    if len(counts) != 1:
+        raise ValueError(f"stacked workers disagree on optimizer step counts: {sorted(counts)}")
+    stacked = AdamState(
+        m=np.stack([st.m for st in states]),
+        v=np.stack([st.v for st in states]),
+        step_count=counts.pop(),
+    )
+    new, stacked = adamw_step(param, grad, stacked, opt.cfg)
+    for j, o in enumerate(opts):
+        o.states[key] = AdamState(m=stacked.m[j], v=stacked.v[j], step_count=stacked.step_count)
+    return new
+
+
 class IidStream:
     """Private i.i.d. mini-batch stream over a least-squares task."""
 
@@ -297,7 +323,9 @@ class PooledStream:
 @dataclass
 class WorkerState:
     """One worker: its head index, private stream, optimizer, and per-layer
-    correction matrices V (all-zero unless exact correction is active)."""
+    correction matrices V (all-zero unless exact correction is active). The
+    runner's V are views on one (N, m, n) stack per layer; merge refreshes
+    them in place."""
 
     head_index: int
     stream: object
@@ -366,15 +394,41 @@ def local_step(worker: WorkerState, net: Network, batch: Batch) -> float:
     Base weights and other heads are untouched; in exact-correction mode the
     stale products V are subtracted inside the forward pass.
     """
-    corr = worker.corrections if worker.use_correction else None
-    loss, grads = loss_and_grad(net, batch, Mode.worker(worker.head_index), corrections=corr)
+    corr = [v[None] for v in worker.corrections] if worker.use_correction else None
+    return float(_local_steps([worker], net, [batch], corr)[0])
+
+
+def _local_steps(
+    workers: list[WorkerState], net: Network, batches: list[Batch], corrections
+) -> np.ndarray:
+    """One local step for each of k workers with consecutive heads, at once:
+    one batched forward and backward (worker j's batch through head
+    h_j only, minus its own stale product) and one stacked optimizer update.
+
+    corrections holds one (k, m, n) stack of the workers' V per layer, or
+    None. Workers are independent, so the result equals k local_step calls
+    in any order. Returns the k losses.
+    """
+    first = workers[0].head_index
+    heads = range(first, first + len(workers))
+    if [w.head_index for w in workers] != list(heads):
+        raise ValueError("stacked workers must hold consecutive heads in ascending order")
+    opts = [w.opt for w in workers]
+    if any(o.kind != opts[0].kind or o.cfg != opts[0].cfg for o in opts[1:]):
+        raise ValueError("stacked workers must share one optimizer configuration")
+    batch = Batch(
+        inputs=np.stack([b.inputs for b in batches]),
+        targets=np.stack([b.targets for b in batches]),
+    )
+    losses, grads = loss_and_grad(net, batch, Mode.worker(heads), corrections=corrections)
     for li, layer in enumerate(net.layers):
-        head = layer.heads[worker.head_index]
-        head.A = worker.opt.step((li, "A"), head.A, grads[li].dA[worker.head_index])
-        head.B = worker.opt.step((li, "B"), head.B, grads[li].dB[worker.head_index])
-    worker.steps_since_merge += 1
-    worker.total_steps += 1
-    return loss
+        A, B = layer.factors(heads)
+        A[...] = _stacked_step(opts, (li, "A"), A, grads[li].dA[heads])
+        B[...] = _stacked_step(opts, (li, "B"), B, grads[li].dB[heads])
+    for w in workers:
+        w.steps_since_merge += 1
+        w.total_steps += 1
+    return losses
 
 
 def merge(
@@ -409,7 +463,7 @@ def merge(
             prod = head.B @ head.A
             if policy.exact_correction:
                 contrib = layer.s * (prod - w.corrections[li])
-                w.corrections[li] = prod
+                w.corrections[li][...] = prod
             else:
                 contrib = layer.s * prod
             worker_deltas[w.head_index].append(contrib)
@@ -550,16 +604,18 @@ def run_lte(cfg: RunConfig) -> RunResult:
     n_workers = cfg.n_heads
     net = _build_network(cfg, root, n_workers)
     streams = _make_streams(cfg, task, root, n_workers)
+    stale = [np.zeros((n_workers, layer.m, layer.n)) for layer in net.layers]
     workers = [
         WorkerState(
             head_index=i,
             stream=streams[i],
             opt=KeyedOptimizer(cfg.optimizer, cfg.optim),
-            corrections=[np.zeros_like(layer.W) for layer in net.layers],
+            corrections=[v[i] for v in stale],
             use_correction=cfg.policy.exact_correction,
         )
         for i in range(n_workers)
     ]
+    corrections = stale if cfg.policy.exact_correction else None
     worker_batch = cfg.batch_size // n_workers
     period = cfg.merge_period
     interval = cfg.snapshot_interval or period
@@ -573,8 +629,8 @@ def run_lte(cfg: RunConfig) -> RunResult:
     eval_mse = []
     stopped_at = None
     for step in range(1, cfg.total_steps + 1):
-        row = [local_step(w, net, w.stream.next(worker_batch)) for w in workers]
-        losses.append(row)
+        batches = [w.stream.next(worker_batch) for w in workers]
+        losses.append(_local_steps(workers, net, batches, corrections))
         snap_due = step % interval == 0
         align = _alignment(net) if snap_due else None
         if step % period == 0:

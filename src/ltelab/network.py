@@ -13,7 +13,10 @@ and a training regime is nothing more than its choice of terms, one
   single  -- head h at coefficient s (plain single-adapter training)
   multi   -- every head at coefficient s/N (joint multi-head training)
   worker  -- head h at coefficient s/N, optionally with a per-layer
-             stale-product correction V (one worker's local view)
+             stale-product correction V (one worker's local view); given a
+             range of k heads, k workers' views at once: inputs, outputs,
+             targets and corrections carry a leading axis of length k, and
+             every product is one batched matmul
 
 `Mode.terms` is the only place a coefficient is chosen; the forward pass,
 the input gradient, the head gradients, the finite-difference probe and
@@ -34,14 +37,15 @@ LOSSES = ("mse", "softmax_ce")
 MODE_KINDS = ("full", "single", "multi", "worker")
 
 # (head index h, coefficient c, stale product V or None): the layer adds
-# c * (B_h A_h - V) to its base weight.
-Term = tuple[int, float, Matrix | None]
+# c * (B_h A_h - V) to its base weight. In batched worker mode h is a range of
+# k heads and V a (k, m, n) stack.
+Term = tuple[int | range, float, Matrix | None]
 
 
 @dataclass(frozen=True)
 class Mode:
     kind: str
-    head: int | None = None
+    head: int | range | None = None
 
     def __post_init__(self):
         if self.kind not in MODE_KINDS:
@@ -51,6 +55,11 @@ class Mode:
             raise ValueError(f"mode {self.kind!r} needs a head index")
         if not needs_head and self.head is not None:
             raise ValueError(f"mode {self.kind!r} takes no head index")
+        if isinstance(self.head, range) and (
+            self.kind != "worker" or self.head.step != 1 or not self.head or self.head.start < 0
+        ):
+            raise ValueError(f"mode {self.kind!r}: heads {self.head} must be a nonempty "
+                             "ascending run, and only worker mode takes one")
 
     @classmethod
     def full(cls) -> "Mode":
@@ -65,13 +74,17 @@ class Mode:
         return cls("multi")
 
     @classmethod
-    def worker(cls, head: int) -> "Mode":
+    def worker(cls, head: int | range) -> "Mode":
+        """One worker's view through head `head`, or, for a range of k
+        heads, k workers' views at once (slice j runs through head
+        head.start + j)."""
         return cls("worker", head)
 
     def terms(self, layer: LoraLinear, correction: Matrix | None = None) -> list[Term]:
         """The layer's active terms; heads with coefficient zero are left out.
 
-        Only worker mode carries a correction; the other modes ignore it.
+        Only worker mode carries a correction (`forward` rejects one in any
+        other mode).
         """
         if self.kind == "full":
             return []
@@ -86,17 +99,18 @@ class Mode:
 @dataclass
 class Batch:
     """inputs is (n x b); targets is (m x b) for mse or a length-b integer
-    class vector for softmax_ce."""
+    class vector for softmax_ce. For batched worker mode both carry a
+    leading worker axis: (k, n, b) inputs and (k, m, b) mse targets."""
 
     inputs: Matrix
     targets: np.ndarray
 
     def __post_init__(self):
-        self.inputs = as_matrix(self.inputs, "batch inputs")
+        self.inputs = as_matrix(self.inputs, "batch inputs", stacked=np.ndim(self.inputs) == 3)
 
     @property
     def size(self) -> int:
-        return self.inputs.shape[1]
+        return self.inputs.shape[-1]
 
 
 class Network:
@@ -134,19 +148,26 @@ class Network:
         return self.layers[-1].m
 
 
-def _check_corrections(net: Network, corrections) -> list[Matrix | None]:
+def _check_corrections(net: Network, corrections, mode: Mode) -> list[Matrix | None]:
     if corrections is None:
         return [None] * len(net.layers)
+    if mode.kind != "worker" and any(v is not None for v in corrections):
+        raise ValueError(f"corrections apply only in worker mode, not in mode {mode.kind!r}")
     if len(corrections) != len(net.layers):
         raise ValueError("need one correction entry (or None) per layer")
     return list(corrections)
 
 
+def _t(a: Matrix) -> Matrix:
+    """Transpose of the last two axes (of every matrix in a stack)."""
+    return a.swapaxes(-1, -2)
+
+
 def _layer_forward(layer: LoraLinear, x: Matrix, terms: list[Term]) -> Matrix:
     out = layer.W @ x
     for h, c, v in terms:
-        head = layer.heads[h]
-        out = out + c * (head.B @ (head.A @ x))
+        A, B = layer.factors(h)
+        out = out + c * (B @ (A @ x))
         if v is not None:
             out = out - c * (v @ x)
     return out
@@ -159,12 +180,13 @@ def effective_weight(layer: LoraLinear, corrections=None) -> Matrix:
     corrections holds the V_n (None: no stale products). The heads are
     summed first, then the corrections, then scaled once, in that order.
     """
-    if not layer.heads:
+    if not layer.num_heads:
         return layer.W.copy()
     terms = Mode.multi().terms(layer)
     acc = np.zeros_like(layer.W)
     for h, _, _ in terms:
-        acc += layer.heads[h].product()
+        A, B = layer.factors(h)
+        acc += B @ A
     if corrections is not None:
         for v in corrections:
             acc -= v
@@ -177,13 +199,18 @@ def forward(
     """Run the network; returns the output and per-layer cached intermediates.
 
     corrections holds one stale product (or None) per layer; only worker
-    mode uses them. The cache holds each layer's input, pre-activation
+    mode takes them, and any other mode raises ValueError when given one.
+    A range of worker heads takes a (k, n, b) input stack and (k, m, n)
+    correction stacks. The cache holds each layer's input, pre-activation
     output and resolved terms, which is exactly what the backward pass needs.
     """
-    x = as_matrix(inputs, "network inputs")
-    if x.shape[0] != net.in_dim:
-        raise ValueError(f"input rows {x.shape[0]} do not match network fan-in {net.in_dim}")
-    corrections = _check_corrections(net, corrections)
+    stacked = isinstance(mode.head, range)
+    x = as_matrix(inputs, "network inputs", stacked=stacked)
+    if stacked and x.shape[0] != len(mode.head):
+        raise ValueError(f"input stack of {x.shape[0]} does not match the {len(mode.head)} heads")
+    if x.shape[-2] != net.in_dim:
+        raise ValueError(f"input rows {x.shape[-2]} do not match network fan-in {net.in_dim}")
+    corrections = _check_corrections(net, corrections, mode)
     cache = []
     for layer, act, corr in zip(net.layers, net.activations, corrections):
         terms = mode.terms(layer, corr)
@@ -193,14 +220,20 @@ def forward(
     return x, cache
 
 
-def _loss_and_output_grad(out: Matrix, batch: Batch, loss: str) -> tuple[float, Matrix]:
+def _loss_and_output_grad(
+    out: Matrix, batch: Batch, loss: str
+) -> tuple[float | np.ndarray, Matrix]:
+    """The loss (one per worker for a stacked output) and its gradient."""
     b = batch.size
     if loss == "mse":
-        targets = as_matrix(batch.targets, "mse targets")
+        targets = as_matrix(batch.targets, "mse targets", stacked=out.ndim == 3)
         if targets.shape != out.shape:
             raise ValueError(f"target shape {targets.shape} does not match output {out.shape}")
         diff = out - targets
-        return float(0.5 / b * np.sum(diff * diff)), diff / b
+        loss_val = 0.5 / b * np.sum(diff * diff, axis=(-2, -1))
+        return (loss_val if out.ndim == 3 else float(loss_val)), diff / b
+    if out.ndim != 2:
+        raise ValueError("softmax_ce takes one batch of columns, not a worker stack")
     targets = np.asarray(batch.targets)
     if targets.ndim != 1 or targets.shape[0] != b:
         raise ValueError("softmax_ce targets must be a length-b class index vector")
@@ -216,7 +249,7 @@ def _loss_and_output_grad(out: Matrix, batch: Batch, loss: str) -> tuple[float, 
     return loss_val, grad / b
 
 
-def loss_value(net: Network, batch: Batch, mode: Mode, corrections=None) -> float:
+def loss_value(net: Network, batch: Batch, mode: Mode, corrections=None) -> float | np.ndarray:
     out, _ = forward(net, batch.inputs, mode, corrections)
     val, _ = _loss_and_output_grad(out, batch, net.loss)
     return val
@@ -229,12 +262,13 @@ def loss_and_grad(
     corrections=None,
     include_base: bool | None = None,
     heads=None,
-) -> tuple[float, list[LayerGradients]]:
+) -> tuple[float | np.ndarray, list[LayerGradients]]:
     """Loss plus gradients for every parameter the mode trains.
 
     include_base forces dW on or off regardless of mode (default: on only in
     full mode). `heads` restricts which heads' gradients are materialized;
-    the backpropagated signal is unaffected.
+    the backpropagated signal is unaffected. For a range of worker heads the
+    loss is the vector of the k workers' losses.
     """
     out, cache = forward(net, batch.inputs, mode, corrections)
     loss_val, u = _loss_and_output_grad(out, batch, net.loss)
@@ -248,12 +282,12 @@ def loss_and_grad(
             u = u * (z > 0.0)
         g = grads[i]
         if include_base:
-            g.dW = u @ x.T
+            g.dW = u @ _t(x)
         for h, c, _ in terms:
             if heads is None or h in heads:
-                head = layer.heads[h]
-                g.dB[h] = c * (u @ (head.A @ x).T)
-                g.dA[h] = c * ((head.B.T @ u) @ x.T)
+                A, B = layer.factors(h)
+                g.dB[h] = c * (u @ _t(A @ x))
+                g.dA[h] = c * ((_t(B) @ u) @ _t(x))
         if i > 0:
             u = _input_grad(layer, terms, u)
     return loss_val, grads
@@ -262,10 +296,10 @@ def loss_and_grad(
 def _input_grad(layer: LoraLinear, terms: list[Term], u: Matrix) -> Matrix:
     dx = layer.W.T @ u
     for h, c, v in terms:
-        head = layer.heads[h]
-        dx = dx + c * (head.A.T @ (head.B.T @ u))
+        A, B = layer.factors(h)
+        dx = dx + c * (_t(A) @ (_t(B) @ u))
         if v is not None:
-            dx = dx - c * (v.T @ u)
+            dx = dx - c * (_t(v) @ u)
     return dx
 
 
@@ -276,9 +310,9 @@ def _trainable_slots(net: Network, mode: Mode, include_base: bool):
         if include_base:
             slots.append((i, "W", None, layer.W))
         for h, _, _ in mode.terms(layer):
-            head = layer.heads[h]
-            slots.append((i, "A", h, head.A))
-            slots.append((i, "B", h, head.B))
+            A, B = layer.factors(h)
+            slots.append((i, "A", h, A))
+            slots.append((i, "B", h, B))
     return slots
 
 
@@ -298,7 +332,8 @@ def fd_check(
     while the denominator exceeds 1e-12; below that both gradients are noise
     around zero and the absolute difference is reported instead (dividing by
     a floor would inflate rounding noise by twelve orders of magnitude).
-    The network is restored bit-for-bit afterwards.
+    For a range of worker heads the probed loss is the sum of the workers'
+    losses. The network is restored bit-for-bit afterwards.
     """
     if not step > 0:
         raise ValueError(f"step must be > 0, got {step}")
@@ -324,9 +359,9 @@ def fd_check(
             analytic = grads[li].dB[h_idx].flat[flat]
         old = arr.flat[flat]
         arr.flat[flat] = old + step
-        hi = loss_value(net, batch, mode, corrections)
+        hi = float(np.sum(loss_value(net, batch, mode, corrections)))
         arr.flat[flat] = old - step
-        lo = loss_value(net, batch, mode, corrections)
+        lo = float(np.sum(loss_value(net, batch, mode, corrections)))
         arr.flat[flat] = old
         fd = (hi - lo) / (2.0 * step)
         scale = abs(analytic) + abs(fd)

@@ -35,11 +35,13 @@ __all__ = [
 ]
 
 
-def as_matrix(values, what: str = "matrix") -> Matrix:
-    """Coerce to a 2-D float64 array and check every entry is finite."""
+def as_matrix(values, what: str = "matrix", stacked: bool = False) -> Matrix:
+    """Coerce to a 2-D float64 array (with stacked=True, a 3-D stack of
+    equal-shape matrices) and check every entry is finite."""
     m = np.asarray(values, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"{what} must be 2-D, got shape {m.shape}")
+    ndim = 3 if stacked else 2
+    if m.ndim != ndim:
+        raise ValueError(f"{what} must be {ndim}-D, got shape {m.shape}")
     if m.size == 0:
         raise ValueError(f"{what} must be nonempty, got shape {m.shape}")
     if not np.isfinite(m).all():

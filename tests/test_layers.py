@@ -41,6 +41,22 @@ class TestConstruction:
         with pytest.raises(ValueError, match="share"):
             LoraLinear(W=w, alpha=1.0, heads=[h1, h2])
 
+    def test_heads_are_views_on_stacks(self):
+        layer = random_layer(RandomSource(26), m=5, n=4, r=2, n_heads=3)
+        assert layer.A.shape == (3, 2, 4) and layer.B.shape == (3, 5, 2)
+        head = layer.heads[1]
+        np.testing.assert_array_equal(head.A, layer.A[1])
+        head.B = np.ones((5, 2))  # assignment writes into the stack
+        np.testing.assert_array_equal(layer.B[1], np.ones((5, 2)))
+        np.testing.assert_array_equal(head.product(), layer.B[1] @ layer.A[1])
+        with pytest.raises(ValueError, match="shape"):
+            head.A = np.ones((4, 2))
+        A, B = layer.factors(range(1, 3))
+        np.testing.assert_array_equal(A, layer.A[1:3])
+        A[...] = 0.0  # views, never copies
+        B[...] = 0.0
+        assert not layer.A[1:].any() and not layer.B[1:].any() and layer.A[0].all()
+
     def test_scale_is_alpha_over_rank(self):
         layer = random_layer(RandomSource(2), m=64, n=64, r=64, n_heads=1, alpha=4096.0)
         assert layer.s == 64.0

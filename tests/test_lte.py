@@ -3,7 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 from conftest import exact_policy, ls_config
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ltelab import lte
 from ltelab.analysis import trajectory_deviation
 from ltelab.data import gen_least_squares, sample_batch
 from ltelab.layers import LoraHead, LoraLinear
@@ -14,6 +17,7 @@ from ltelab.lte import (
     PooledStream,
     WorkerState,
     _eval_enabled,
+    _local_steps,
     config_from_dict,
     local_step,
     merge,
@@ -104,6 +108,111 @@ class TestLocalStep:
         for (a0, b0), (a1, b1) in zip(results[0], results[1]):
             np.testing.assert_array_equal(a0, a1)
             np.testing.assert_array_equal(b0, b1)
+
+
+@st.composite
+def batched_cases(draw):
+    """A random network, worker set and schedule for the batched step."""
+    depth = draw(st.integers(1, 2))
+    dims = [draw(st.integers(1, 5)) for _ in range(depth + 1)]
+    return {
+        "dims": dims,
+        "r": draw(st.integers(1, min(dims))),
+        "n_heads": draw(st.integers(1, 4)),
+        "relu": draw(st.booleans()),
+        "optimizer": draw(st.sampled_from(["sgd", "adamw"])),
+        "exact": draw(st.booleans()),
+        "batch": draw(st.integers(1, 4)),
+        "steps": (draw(st.integers(1, 3)), draw(st.integers(1, 3))),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+def _batched_setup(case):
+    """Network, workers and per-layer (N, m, n) stale-product stacks that the
+    workers' corrections are views on, as run_lte builds them."""
+    rng = RandomSource(case["seed"])
+    n_heads, r, dims = case["n_heads"], case["r"], case["dims"]
+    layers = []
+    for li, (n, m) in enumerate(zip(dims, dims[1:])):
+        # fan-in scaled, so that a few steps at eta 0.05 stay far from overflow
+        scale = 1.0 / np.sqrt(n)
+        heads = [LoraHead(A=rng.child("A", li, i).standard_normal((r, n)) * scale,
+                          B=rng.child("B", li, i).standard_normal((m, r)) * 0.5)
+                 for i in range(n_heads)]
+        layers.append(LoraLinear(W=rng.child("W", li).standard_normal((m, n)) * scale,
+                                 alpha=1.5 * r, heads=heads))
+    acts = ["relu" if case["relu"] else "identity"] * (len(layers) - 1) + ["identity"]
+    net = Network(layers, activations=acts)
+    stale = [rng.child("V", li).standard_normal((n_heads, layer.m, layer.n))
+             * (0.5 / np.sqrt(layer.n)) for li, layer in enumerate(layers)]
+    workers = [
+        WorkerState(head_index=i, stream=None,
+                    opt=KeyedOptimizer(case["optimizer"], OptimConfig(eta=0.05)),
+                    corrections=[v[i] for v in stale], use_correction=case["exact"])
+        for i in range(n_heads)
+    ]
+    return net, workers, stale
+
+
+class TestBatchedStep:
+    @given(batched_cases(), st.randoms(use_true_random=False))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_equals_sequential_local_steps(self, case, order_rng):
+        # one batched step for all workers is bitwise k local_step calls, in
+        # any worker order, across a reset_opt merge that refreshes V
+        rng = RandomSource(case["seed"]).child("data")
+        n_heads, b, dims = case["n_heads"], case["batch"], case["dims"]
+        policy = (exact_policy(reset_opt=True) if case["exact"]
+                  else MergePolicy(period=1, reset_opt=True))
+        rounds = []
+        for rnd, steps in enumerate(case["steps"]):
+            rounds.append([[Batch(inputs=rng.child("x", rnd, t, i).standard_normal((dims[0], b)),
+                                  targets=rng.child("y", rnd, t, i).standard_normal((dims[-1], b)))
+                            for i in range(n_heads)] for t in range(steps)])
+        runs = []
+        for batched in (True, False):
+            net, workers, stale = _batched_setup(case)
+            corr = stale if case["exact"] else None
+            losses = []
+            for rnd, round_batches in enumerate(rounds):
+                for batches in round_batches:
+                    if batched:
+                        losses.append(_local_steps(workers, net, batches, corr))
+                    else:
+                        row = np.zeros(n_heads)
+                        for i in order_rng.sample(range(n_heads), n_heads):
+                            row[i] = local_step(workers[i], net, batches[i])
+                        losses.append(row)
+                merge(net, workers, policy, merge_id=rnd + 1)
+            runs.append((net, workers, stale, np.array(losses)))
+        (net_a, workers_a, stale_a, loss_a), (net_b, workers_b, stale_b, loss_b) = runs
+        assert np.isfinite(loss_a).all()
+        assert loss_a.tobytes() == loss_b.tobytes()
+        for la, lb in zip(net_a.layers, net_b.layers):
+            for arr_a, arr_b in ((la.W, lb.W), (la.A, lb.A), (la.B, lb.B)):
+                assert arr_a.tobytes() == arr_b.tobytes()
+        for va, vb in zip(stale_a, stale_b):
+            assert va.tobytes() == vb.tobytes()
+        for wa, wb in zip(workers_a, workers_b):
+            assert wa.opt.states.keys() == wb.opt.states.keys()
+            for key, sa in wa.opt.states.items():
+                sb = wb.opt.states[key]
+                assert sa.step_count == sb.step_count
+                assert sa.m.tobytes() == sb.m.tobytes() and sa.v.tobytes() == sb.v.tobytes()
+
+    def test_workers_must_hold_consecutive_heads(self):
+        net, task, workers, rng = tiny_setup(n_heads=3)
+        batches = [sample_batch(task, 4, rng.child("b", i)) for i in range(3)]
+        with pytest.raises(ValueError, match="consecutive"):
+            _local_steps([workers[0], workers[2]], net, batches[:2], None)
+
+    def test_adam_step_counts_must_agree(self):
+        net, task, workers, rng = tiny_setup(n_heads=2, optimizer="adamw")
+        local_step(workers[0], net, sample_batch(task, 4, rng.child("b")))
+        batches = [sample_batch(task, 4, rng.child("b", i)) for i in range(2)]
+        with pytest.raises(ValueError, match="step counts"):
+            _local_steps(workers, net, batches, None)
 
 
 class TestMerge:
@@ -310,6 +419,56 @@ class TestRunners:
         a = run_lte(cfg)
         b = run_lte(cfg)
         np.testing.assert_array_equal(a.losses, b.losses)
+
+
+class TestStepClock:
+    """The benchmark stamps each training step at its first call through
+    `ltelab.lte.loss_and_grad`; that needs a fixed number of calls per step."""
+
+    @staticmethod
+    def _calls(monkeypatch, runner, cfg):
+        count = [0]
+        original = lte.loss_and_grad
+
+        def counted(*args, **kwargs):
+            count[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(lte, "loss_and_grad", counted)
+        runner(cfg)
+        return count[0]
+
+    @pytest.mark.parametrize("runner,cfg,per_step", [
+        (run_lte, ls_config(mode="lte", n_heads=3, dim=8, policy=exact_policy(period=2)), 1),
+        (run_lte, ls_config(mode="lte", n_heads=4, dim=8, period=3, optimizer="adamw"), 1),
+        (run_mhlora, ls_config(mode="mhlora", n_heads=3, dim=8), 3),
+        (run_full, ls_config(mode="full", dim=8, period=2), 1),
+    ])
+    def test_same_calls_on_every_step(self, monkeypatch, runner, cfg, per_step):
+        # the calls of step t are calls(t steps) - calls(t - 1 steps); merge
+        # steps (every 2nd or 3rd) included
+        totals = [self._calls(monkeypatch, runner, dataclasses.replace(cfg, total_steps=t))
+                  for t in range(1, 7)]
+        assert np.diff([0] + totals).tolist() == [per_step] * 6
+
+
+class TestStepsToMse:
+    def test_first_step_at_or_under_threshold(self):
+        res = run_lte(ls_config(mode="lte", dim=8, total_steps=4))
+        res = dataclasses.replace(res, eval_mse=np.array([3.0, 1.0, 2.0, 0.5]))
+        assert res.steps_to_mse(1.0) == 2  # 1-based, and equality counts
+        assert res.steps_to_mse(1.5) == 2
+        assert res.steps_to_mse(0.5) == 4
+        assert res.steps_to_mse(5.0) == 1
+        assert res.steps_to_mse(0.4) is None
+
+    def test_none_without_population_mse(self):
+        cfg = ls_config(mode="lte", dim=8, total_steps=3)
+        cfg = dataclasses.replace(cfg, arch=dataclasses.replace(cfg.arch, dims=(8, 8, 8),
+                                                                activation="relu"))
+        res = run_lte(cfg)
+        assert res.eval_mse is None
+        assert res.steps_to_mse(float("inf")) is None
 
 
 class TestPooledStream:

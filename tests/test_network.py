@@ -86,6 +86,61 @@ class TestForward:
             Mode("single")
         with pytest.raises(ValueError):
             Mode("multi", head=0)
+        for bad in (range(0), range(0, 4, 2), range(-1, 1)):
+            with pytest.raises(ValueError, match="worker"):
+                Mode.worker(bad)
+        with pytest.raises(ValueError, match="worker"):
+            Mode.single(range(2))
+
+    @pytest.mark.parametrize("mode", [Mode.full(), Mode.single(0), Mode.multi()])
+    def test_corrections_rejected_outside_worker_mode(self, mode):
+        net = random_net(RandomSource(9), dims=(4, 5, 3))
+        batch = mse_batch(RandomSource(10), net)
+        corr = [None, 5.0 * np.ones_like(net.layers[1].W)]
+        pattern = f"worker mode.*{mode.kind!r}"
+        with pytest.raises(ValueError, match=pattern):
+            forward(net, batch.inputs, mode, corr)
+        with pytest.raises(ValueError, match=pattern):
+            loss_and_grad(net, batch, mode, corr)
+        with pytest.raises(ValueError, match=pattern):
+            fd_check(net, batch, mode, corrections=corr)
+        forward(net, batch.inputs, mode, [None, None])  # no correction given
+
+    def test_worker_range_is_stacked_worker_views(self):
+        # k workers at once: slice j is worker start + j's own view, with its
+        # own stale products, bitwise
+        net = random_net(RandomSource(11), dims=(4, 5, 3), n_heads=4, activation="relu")
+        rng = RandomSource(12)
+        heads = range(1, 4)
+        x = rng.child("x").standard_normal((3, 4, 2))
+        y = rng.child("y").standard_normal((3, 3, 2))
+        corr = [rng.child("v", li).standard_normal((3,) + layer.W.shape)
+                for li, layer in enumerate(net.layers)]
+        out, _ = forward(net, x, Mode.worker(heads), corr)
+        losses, grads = loss_and_grad(net, Batch(inputs=x, targets=y), Mode.worker(heads), corr)
+        assert out.shape == (3, 3, 2) and losses.shape == (3,)
+        for j, h in enumerate(heads):
+            corr_j = [v[j] for v in corr]
+            out_j, _ = forward(net, x[j], Mode.worker(h), corr_j)
+            loss_j, grads_j = loss_and_grad(net, Batch(inputs=x[j], targets=y[j]),
+                                            Mode.worker(h), corr_j)
+            assert out[j].tobytes() == out_j.tobytes()
+            assert losses[j] == loss_j
+            for g, g_j in zip(grads, grads_j):
+                assert g.dA[heads][j].tobytes() == g_j.dA[h].tobytes()
+                assert g.dB[heads][j].tobytes() == g_j.dB[h].tobytes()
+        err = fd_check(net, Batch(inputs=x, targets=y), Mode.worker(heads), corrections=corr,
+                       num_params=40, rng=rng.child("probe"))
+        assert err <= 1e-6
+
+    def test_worker_range_input_checked(self):
+        net = random_net(RandomSource(13), n_heads=3)
+        with pytest.raises(ValueError, match="3-D"):
+            forward(net, np.ones((4, 2)), Mode.worker(range(2)))
+        with pytest.raises(ValueError, match="stack of 3"):
+            forward(net, np.ones((3, 4, 2)), Mode.worker(range(2)))
+        with pytest.raises(IndexError, match="heads"):
+            forward(net, np.ones((2, 4, 2)), Mode.worker(range(2, 4)))
 
 
 class TestModeTerms:
