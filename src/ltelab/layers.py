@@ -157,8 +157,9 @@ class LoraLinear:
 
 @dataclass
 class LayerGradients:
-    """Gradients for one layer. Head entries are keyed like the mode's terms:
-    by head index, or by a range of k heads holding their (k, ...) stack."""
+    """Gradients for one layer. Head entries are keyed by head index, or by
+    a range of k heads holding their (k, ...) stack (batched worker mode,
+    and multi mode on a stack of shards)."""
 
     dW: Matrix | None = None
     dA: dict[int | range, Matrix] = field(default_factory=dict)

@@ -15,7 +15,8 @@ conceptually run in parallel: between merges W is read-only, each head is
 owned by exactly one worker, and merge reduction sums heads in index order,
 so results never depend on worker execution order. The runner emulates that
 parallelism with one batched step for all N workers per training step, on the
-layers' stacked heads.
+layers' stacked heads; the joint multi-head runner likewise takes one batched
+step for all N heads.
 """
 
 from __future__ import annotations
@@ -179,6 +180,11 @@ class RunConfig:
                 "stop_mse: population MSE is only defined for an mse loss with "
                 f"identity gaps, got loss {arch.loss!r} and activation {arch.activation!r}"
             )
+        if arch.loss != "mse":
+            raise ConfigError(
+                f"arch.loss: {arch.loss!r} needs class-index targets, but dataset.kind "
+                f"{ds.kind!r} has real-valued targets; use 'mse'"
+            )
 
 
 _CONFIG_ALIASES = {"N": "n_heads", "r": "rank"}
@@ -290,6 +296,14 @@ def _stacked_step(opts: list[KeyedOptimizer], key, param: Matrix, grad: Matrix) 
     for j, o in enumerate(opts):
         o.states[key] = AdamState(m=stacked.m[j], v=stacked.v[j], step_count=stacked.step_count)
     return new
+
+
+def _stack(batches: list[Batch]) -> Batch:
+    """One (k, ...) batch stack, slice j holding batches[j]."""
+    return Batch(
+        inputs=np.stack([b.inputs for b in batches]),
+        targets=np.stack([b.targets for b in batches]),
+    )
 
 
 class IidStream:
@@ -416,11 +430,7 @@ def _local_steps(
     opts = [w.opt for w in workers]
     if any(o.kind != opts[0].kind or o.cfg != opts[0].cfg for o in opts[1:]):
         raise ValueError("stacked workers must share one optimizer configuration")
-    batch = Batch(
-        inputs=np.stack([b.inputs for b in batches]),
-        targets=np.stack([b.targets for b in batches]),
-    )
-    losses, grads = loss_and_grad(net, batch, Mode.worker(heads), corrections=corrections)
+    losses, grads = loss_and_grad(net, _stack(batches), Mode.worker(heads), corrections=corrections)
     for li, layer in enumerate(net.layers):
         A, B = layer.factors(heads)
         A[...] = _stacked_step(opts, (li, "A"), A, grads[li].dA[heads])
@@ -671,6 +681,11 @@ def run_mhlora(cfg: RunConfig) -> RunResult:
     from its own shard through the shared multi-head forward, and all heads
     update simultaneously. Serves as the T = 1 oracle for the bi-level loop;
     with N = 1 this is plain single-adapter training.
+
+    A step is one multi-mode call on the stack of the N shards and one
+    update of each layer's (N, ...) head stacks. The optimizer is
+    element-wise, so slice j moves exactly as a per-head optimizer would
+    move head j.
     """
     cfg.validate()
     if cfg.mode not in ("lora", "mhlora"):
@@ -680,7 +695,8 @@ def run_mhlora(cfg: RunConfig) -> RunResult:
     n_heads = cfg.n_heads
     net = _build_network(cfg, root, n_heads)
     streams = _make_streams(cfg, task, root, n_heads)
-    opts = [KeyedOptimizer(cfg.optimizer, cfg.optim) for _ in range(n_heads)]
+    opt = KeyedOptimizer(cfg.optimizer, cfg.optim)
+    heads = range(n_heads)
     worker_batch = cfg.batch_size // n_heads
     interval = cfg.snapshot_interval or cfg.merge_period
     do_eval = _eval_enabled(cfg)
@@ -691,18 +707,11 @@ def run_mhlora(cfg: RunConfig) -> RunResult:
     eval_mse = []
     stopped_at = None
     for step in range(1, cfg.total_steps + 1):
-        batches = [streams[i].next(worker_batch) for i in range(n_heads)]
-        row = []
-        head_grads = []
-        for i in range(n_heads):
-            loss, grads = loss_and_grad(net, batches[i], Mode.multi(), heads=(i,))
-            row.append(loss)
-            head_grads.append(grads)
-        for i in range(n_heads):
-            for li, layer in enumerate(net.layers):
-                head = layer.heads[i]
-                head.A = opts[i].step((li, "A"), head.A, head_grads[i][li].dA[i])
-                head.B = opts[i].step((li, "B"), head.B, head_grads[i][li].dB[i])
+        shards = _stack([s.next(worker_batch) for s in streams])
+        row, grads = loss_and_grad(net, shards, Mode.multi())
+        for li, layer in enumerate(net.layers):
+            layer.A[...] = opt.step((li, "A"), layer.A, grads[li].dA[heads])
+            layer.B[...] = opt.step((li, "B"), layer.B, grads[li].dB[heads])
         losses.append(row)
         if step % interval == 0:
             snapshots.append(

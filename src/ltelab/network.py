@@ -11,7 +11,10 @@ and a training regime is nothing more than its choice of terms, one
 
   full    -- no terms (standard training; W receives gradients)
   single  -- head h at coefficient s (plain single-adapter training)
-  multi   -- every head at coefficient s/N (joint multi-head training)
+  multi   -- every head at coefficient s/N (joint multi-head training);
+             given an (N, n, b) stack of N shards, every slice runs the
+             full multi-head view, the loss is the vector of N per-shard
+             losses and head j's gradient comes from slice j only
   worker  -- head h at coefficient s/N, optionally with a per-layer
              stale-product correction V (one worker's local view); given a
              range of k heads, k workers' views at once: inputs, outputs,
@@ -99,8 +102,9 @@ class Mode:
 @dataclass
 class Batch:
     """inputs is (n x b); targets is (m x b) for mse or a length-b integer
-    class vector for softmax_ce. For batched worker mode both carry a
-    leading worker axis: (k, n, b) inputs and (k, m, b) mse targets."""
+    class vector for softmax_ce. For batched worker mode and sharded multi
+    mode both carry a leading axis: (k, n, b) inputs and (k, m, b) mse
+    targets."""
 
     inputs: Matrix
     targets: np.ndarray
@@ -158,6 +162,11 @@ def _check_corrections(net: Network, corrections, mode: Mode) -> list[Matrix | N
     return list(corrections)
 
 
+def _sharded(mode: Mode, inputs) -> bool:
+    """Multi mode on a stack of shards, one per head."""
+    return mode.kind == "multi" and np.ndim(inputs) == 3
+
+
 def _t(a: Matrix) -> Matrix:
     """Transpose of the last two axes (of every matrix in a stack)."""
     return a.swapaxes(-1, -2)
@@ -201,18 +210,22 @@ def forward(
     corrections holds one stale product (or None) per layer; only worker
     mode takes them, and any other mode raises ValueError when given one.
     A range of worker heads takes a (k, n, b) input stack and (k, m, n)
-    correction stacks. The cache holds each layer's input, pre-activation
-    output and resolved terms, which is exactly what the backward pass needs.
+    correction stacks; multi mode takes an (N, n, b) stack of one shard per
+    head. The cache holds each layer's input, pre-activation output and
+    resolved terms, which is exactly what the backward pass needs.
     """
-    stacked = isinstance(mode.head, range)
-    x = as_matrix(inputs, "network inputs", stacked=stacked)
-    if stacked and x.shape[0] != len(mode.head):
+    sharded = _sharded(mode, inputs)
+    x = as_matrix(inputs, "network inputs", stacked=sharded or isinstance(mode.head, range))
+    if isinstance(mode.head, range) and x.shape[0] != len(mode.head):
         raise ValueError(f"input stack of {x.shape[0]} does not match the {len(mode.head)} heads")
     if x.shape[-2] != net.in_dim:
         raise ValueError(f"input rows {x.shape[-2]} do not match network fan-in {net.in_dim}")
     corrections = _check_corrections(net, corrections, mode)
     cache = []
     for layer, act, corr in zip(net.layers, net.activations, corrections):
+        if sharded and x.shape[0] != layer.num_heads:
+            raise ValueError(f"shard stack of {x.shape[0]} does not match the layer's "
+                             f"{layer.num_heads} heads")
         terms = mode.terms(layer, corr)
         z = _layer_forward(layer, x, terms)
         cache.append({"x": x, "z": z, "terms": terms})
@@ -223,7 +236,7 @@ def forward(
 def _loss_and_output_grad(
     out: Matrix, batch: Batch, loss: str
 ) -> tuple[float | np.ndarray, Matrix]:
-    """The loss (one per worker for a stacked output) and its gradient."""
+    """The loss (one per slice for a stacked output) and its gradient."""
     b = batch.size
     if loss == "mse":
         targets = as_matrix(batch.targets, "mse targets", stacked=out.ndim == 3)
@@ -233,7 +246,7 @@ def _loss_and_output_grad(
         loss_val = 0.5 / b * np.sum(diff * diff, axis=(-2, -1))
         return (loss_val if out.ndim == 3 else float(loss_val)), diff / b
     if out.ndim != 2:
-        raise ValueError("softmax_ce takes one batch of columns, not a worker stack")
+        raise ValueError("softmax_ce takes one batch of columns, not a stack")
     targets = np.asarray(batch.targets)
     if targets.ndim != 1 or targets.shape[0] != b:
         raise ValueError("softmax_ce targets must be a length-b class index vector")
@@ -261,15 +274,17 @@ def loss_and_grad(
     mode: Mode,
     corrections=None,
     include_base: bool | None = None,
-    heads=None,
 ) -> tuple[float | np.ndarray, list[LayerGradients]]:
     """Loss plus gradients for every parameter the mode trains.
 
     include_base forces dW on or off regardless of mode (default: on only in
-    full mode). `heads` restricts which heads' gradients are materialized;
-    the backpropagated signal is unaffected. For a range of worker heads the
-    loss is the vector of the k workers' losses.
+    full mode). For a range of worker heads the loss is the vector of the k
+    workers' losses. For an (N, n, b) stack of shards in multi mode it is
+    the vector of the N shards' losses; the input gradient runs through all
+    heads, but head j's gradient comes from shard j alone, keyed by range(N)
+    as one (N, ...) stack per factor, as batched worker mode keys it.
     """
+    sharded = _sharded(mode, batch.inputs)
     out, cache = forward(net, batch.inputs, mode, corrections)
     loss_val, u = _loss_and_output_grad(out, batch, net.loss)
     if include_base is None:
@@ -283,11 +298,12 @@ def loss_and_grad(
         g = grads[i]
         if include_base:
             g.dW = u @ _t(x)
-        for h, c, _ in terms:
-            if heads is None or h in heads:
-                A, B = layer.factors(h)
-                g.dB[h] = c * (u @ _t(A @ x))
-                g.dA[h] = c * ((_t(B) @ u) @ _t(x))
+        # slice j of a shard stack trains head j only: one stacked entry
+        head_terms = [(range(layer.num_heads), terms[0][1], None)] if sharded else terms
+        for h, c, _ in head_terms:
+            A, B = layer.factors(h)
+            g.dB[h] = c * (u @ _t(A @ x))
+            g.dA[h] = c * ((_t(B) @ u) @ _t(x))
         if i > 0:
             u = _input_grad(layer, terms, u)
     return loss_val, grads
@@ -333,10 +349,15 @@ def fd_check(
     around zero and the absolute difference is reported instead (dividing by
     a floor would inflate rounding noise by twelve orders of magnitude).
     For a range of worker heads the probed loss is the sum of the workers'
-    losses. The network is restored bit-for-bit afterwards.
+    losses. A multi-mode shard stack is rejected: each head's gradient there
+    comes from its own shard, so it is the gradient of no single loss. The
+    network is restored bit-for-bit afterwards.
     """
     if not step > 0:
         raise ValueError(f"step must be > 0, got {step}")
+    if _sharded(mode, batch.inputs):
+        raise ValueError("fd_check takes no multi-mode shard stack: its head gradients "
+                         "differentiate no single loss")
     include_base = mode.kind == "full"
     _, grads = loss_and_grad(net, batch, mode, corrections, include_base=include_base)
     slots = _trainable_slots(net, mode, include_base)

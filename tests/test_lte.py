@@ -11,10 +11,13 @@ from ltelab.analysis import trajectory_deviation
 from ltelab.data import gen_least_squares, sample_batch
 from ltelab.layers import LoraHead, LoraLinear
 from ltelab.lte import (
+    ArchSpec,
     ConfigError,
+    DatasetSpec,
     KeyedOptimizer,
     MergePolicy,
     PooledStream,
+    RunConfig,
     WorkerState,
     _eval_enabled,
     _local_steps,
@@ -291,6 +294,71 @@ class TestMerge:
         assert not workers[0].opt.states
 
 
+@st.composite
+def mhlora_configs(draw):
+    """Small joint multi-head runs: N 1-4 (N = 1 as mode lora or mhlora),
+    depth 1-3, identity or ReLU gaps, SGD or AdamW over 2-5 steps."""
+    n_heads = draw(st.integers(1, 4))
+    dims = tuple(draw(st.lists(st.integers(2, 6), min_size=2, max_size=4)))
+    optimizer = draw(st.sampled_from(["sgd", "adamw"]))
+    task_rank = draw(st.integers(1, min(dims[0], dims[-1])))
+    return RunConfig(
+        mode=draw(st.sampled_from(["lora", "mhlora"])) if n_heads == 1 else "mhlora",
+        dataset=DatasetSpec(m=dims[-1], n=dims[0], rank=task_rank,
+                            pool=draw(st.sampled_from([None, 3 * n_heads]))),
+        arch=ArchSpec(dims=dims, activation=draw(st.sampled_from(["identity", "relu"])),
+                      w_init=draw(st.sampled_from(["zeros", "kaiming"]))),
+        n_heads=n_heads,
+        rank=draw(st.integers(1, min(dims))),
+        alpha=draw(st.sampled_from([None, 3.0])),
+        optimizer=optimizer,
+        optim=OptimConfig(eta=0.05 if optimizer == "sgd" else 1e-2, weight_decay=0.01),
+        batch_size=n_heads * draw(st.integers(1, 4)),
+        total_steps=draw(st.integers(2, 5)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def _mhlora_per_head(cfg):
+    """Reference joint multi-head run, head by head: N plain multi-mode calls
+    per step, call i on shard i keeping only head i's gradient, then head
+    i's own optimizer. Returns the network and the (steps, N) losses."""
+    root = RandomSource(cfg.seed)
+    task = gen_least_squares(cfg.dataset.m, cfg.dataset.n, cfg.dataset.rank, root.child("task"))
+    net = lte._build_network(cfg, root, cfg.n_heads)
+    streams = lte._make_streams(cfg, task, root, cfg.n_heads)
+    opts = [KeyedOptimizer(cfg.optimizer, cfg.optim) for _ in range(cfg.n_heads)]
+    shard = cfg.batch_size // cfg.n_heads
+    losses = []
+    for _ in range(cfg.total_steps):
+        row, head_grads = [], []
+        for i, stream in enumerate(streams):
+            loss, grads = loss_and_grad(net, stream.next(shard), Mode.multi())
+            row.append(loss)
+            head_grads.append([(g.dA[i], g.dB[i]) for g in grads])
+        for i, opt in enumerate(opts):
+            for li, layer in enumerate(net.layers):
+                head = layer.heads[i]
+                head.A = opt.step((li, "A"), head.A, head_grads[i][li][0])
+                head.B = opt.step((li, "B"), head.B, head_grads[i][li][1])
+        losses.append(row)
+    return net, np.array(losses)
+
+
+class TestBatchedMhlora:
+    @given(mhlora_configs())
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_equals_per_head_steps(self, cfg):
+        # one batched step for all N heads is bitwise the per-head loop
+        res = run_mhlora(cfg)
+        net, losses = _mhlora_per_head(cfg)
+        assert np.isfinite(losses).all()
+        assert res.losses.tobytes() == losses.tobytes()
+        for la, lb in zip(res.network.layers, net.layers):
+            for arr_a, arr_b in ((la.W, lb.W), (la.A, lb.A), (la.B, lb.B)):
+                assert arr_a.tobytes() == arr_b.tobytes()
+
+
 class TestPolicy:
     def test_exact_correction_incompatible_with_resets(self):
         with pytest.raises(ConfigError):
@@ -441,7 +509,7 @@ class TestStepClock:
     @pytest.mark.parametrize("runner,cfg,per_step", [
         (run_lte, ls_config(mode="lte", n_heads=3, dim=8, policy=exact_policy(period=2)), 1),
         (run_lte, ls_config(mode="lte", n_heads=4, dim=8, period=3, optimizer="adamw"), 1),
-        (run_mhlora, ls_config(mode="mhlora", n_heads=3, dim=8), 3),
+        (run_mhlora, ls_config(mode="mhlora", n_heads=3, dim=8), 1),
         (run_full, ls_config(mode="full", dim=8, period=2), 1),
     ])
     def test_same_calls_on_every_step(self, monkeypatch, runner, cfg, per_step):
@@ -536,7 +604,20 @@ class TestConfig:
         else:
             with pytest.raises(ConfigError, match="^stop_mse:"):
                 cfg.validate()
-            dataclasses.replace(cfg, stop_mse=None).validate()
+            if loss == "softmax_ce":
+                with pytest.raises(ConfigError, match="^arch.loss:"):
+                    dataclasses.replace(cfg, stop_mse=None).validate()
+            else:
+                dataclasses.replace(cfg, stop_mse=None).validate()
+
+    @pytest.mark.parametrize("mode,n_heads", [("full", 1), ("lora", 1), ("mhlora", 2), ("lte", 2)])
+    def test_softmax_ce_rejected_on_least_squares(self, mode, n_heads):
+        # real-valued targets are no class indices: every runner refuses the
+        # config up front instead of failing inside its first step
+        cfg = ls_config(mode=mode, n_heads=n_heads, dim=8, total_steps=2)
+        cfg = dataclasses.replace(cfg, arch=dataclasses.replace(cfg.arch, loss="softmax_ce"))
+        with pytest.raises(ConfigError, match="^arch.loss: 'softmax_ce'.*'least_squares'"):
+            lte.run(cfg)
 
     def test_run_dispatch_validates_mode(self):
         cfg = ls_config(mode="lte")

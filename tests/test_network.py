@@ -170,15 +170,29 @@ class TestModeTerms:
             assert np.isfinite(g.dA[1]).all() and np.isfinite(g.dB[1]).all()
 
     def test_heads_restricts_materialized_gradients(self):
-        net = random_net(RandomSource(33), dims=(4, 5, 3), n_heads=3)
-        batch = mse_batch(RandomSource(34), net)
-        loss_all, all_grads = loss_and_grad(net, batch, Mode.multi())
-        loss_one, one_grads = loss_and_grad(net, batch, Mode.multi(), heads=(2,))
-        assert loss_one == loss_all
-        for g, g_all in zip(one_grads, all_grads):
-            assert list(g.dA) == [2] and list(g.dB) == [2]
-            np.testing.assert_array_equal(g.dA[2], g_all.dA[2])
-            np.testing.assert_array_equal(g.dB[2], g_all.dB[2])
+        # a multi-mode shard stack materializes head j's gradient from shard
+        # j alone, bitwise as a plain multi-mode call on that shard gives it
+        net = random_net(RandomSource(33), dims=(4, 5, 3), n_heads=3, activation="relu")
+        shards = [mse_batch(RandomSource(34).child(j), net) for j in range(3)]
+        stack = Batch(inputs=np.stack([b.inputs for b in shards]),
+                      targets=np.stack([b.targets for b in shards]))
+        losses, grads = loss_and_grad(net, stack, Mode.multi())
+        assert losses.shape == (3,)
+        for g in grads:
+            assert list(g.dA) == [range(3)] and list(g.dB) == [range(3)]
+        for j, shard in enumerate(shards):
+            loss_j, grads_j = loss_and_grad(net, shard, Mode.multi())
+            assert losses[j].tobytes() == np.float64(loss_j).tobytes()
+            for g, g_j in zip(grads, grads_j):
+                assert g.dA[range(3)][j].tobytes() == g_j.dA[j].tobytes()
+                assert g.dB[range(3)][j].tobytes() == g_j.dB[j].tobytes()
+        for wrong in (2, 4):
+            bad = Batch(inputs=stack.inputs[:1].repeat(wrong, axis=0),
+                        targets=stack.targets[:1].repeat(wrong, axis=0))
+            with pytest.raises(ValueError, match="shard stack of"):
+                loss_and_grad(net, bad, Mode.multi())
+        with pytest.raises(ValueError, match="shard stack"):
+            fd_check(net, stack, Mode.multi())
 
 
 class TestLosses:
