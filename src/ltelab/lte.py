@@ -9,19 +9,20 @@ workers subtract their stale share (s/N) V_n in the forward pass, the merge
 adds (s/N) * sum_n (B_n A_n - V_n), and V_n is refreshed. With T = 1 the
 corrected scheme reproduces joint multi-head training exactly.
 
-Also here: the joint multi-head runner (the T = 1 oracle) and the full-weight
-baseline, all driven by one seeded, deterministic configuration. Workers may
-conceptually run in parallel: between merges W is read-only, each head is
-owned by exactly one worker, and merge reduction sums heads in index order,
-so results never depend on worker execution order. The runner emulates that
-parallelism with one batched step for all N workers per training step, on the
-layers' stacked heads; the joint multi-head runner likewise takes one batched
-step for all N heads.
+Joint multi-head training (the T = 1 oracle) and full-weight training are
+the same loop with a different step and no merge: `run` is that one loop for
+every mode, around a per-mode step, driven by one seeded, deterministic
+configuration. Workers may conceptually run in parallel: between merges W is
+read-only, each head is owned by exactly one worker, and merge reduction sums
+heads in index order, so results never depend on worker execution order. The
+lte step emulates that parallelism with one batched step for all N workers,
+on the layers' stacked heads; the joint multi-head step likewise takes one
+batched step for all N heads.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -558,100 +559,140 @@ def _eval_enabled(cfg: RunConfig) -> bool:
     )
 
 
-def _snapshot(
-    step: int,
-    merge_id: int,
-    net: Network,
-    workers: Sequence[WorkerState],
-    base_weights: list[Matrix],
-    alignment: list[AlignmentReport] | None,
-    record_params: bool,
-) -> Snapshot:
-    weights = _effective_weights(net, workers)
-    weight_rank = []
-    update_rank = []
-    for w, w0 in zip(weights, base_weights):
-        weight_rank.append(effective_rank(w) if np.any(w != 0.0) else float("nan"))
-        change = w - w0
-        update_rank.append(effective_rank(change) if np.any(change != 0.0) else float("nan"))
-    params = None
-    if record_params:
-        params = [[(h.A.copy(), h.B.copy()) for h in layer.heads] for layer in net.layers]
-    return Snapshot(
-        step=step,
-        merge_id=merge_id,
-        weights=weights,
-        alignment=alignment,
-        weight_rank=weight_rank,
-        update_rank=update_rank,
-        params=params,
-    )
-
-
 def _alignment(net: Network) -> list[AlignmentReport] | None:
-    if not net.layers[0].heads or net.layers[0].num_heads < 2:
+    if net.layers[0].num_heads < 2:
         return None
     return [head_alignment(layer) for layer in net.layers]
 
 
-def _manifest(cfg: RunConfig, n_workers: int, worker_batch: int) -> dict:
-    return {
-        "config": asdict(cfg),
-        "code_version": _code_version,
-        "n_workers": n_workers,
-        "worker_batch": worker_batch,
-        "dropped_samples_per_step": cfg.batch_size - worker_batch * n_workers,
-    }
+# Each mode's `_*_step` function takes (cfg, net, streams, per-stream batch
+# size) and returns the step, which trains on one batch from each stream and
+# returns that step's row of losses, plus the workers to merge (none outside
+# lte).
+Step = Callable[[], Sequence[float]]
 
 
-def run_lte(cfg: RunConfig) -> RunResult:
-    """Parallel local training with periodic merging (the bi-level loop)."""
-    cfg.validate()
-    if cfg.mode != "lte":
-        raise ConfigError(f"mode: run_lte needs mode 'lte', got {cfg.mode!r}")
-    root = RandomSource(cfg.seed)
-    task = gen_least_squares(cfg.dataset.m, cfg.dataset.n, cfg.dataset.rank, root.child("task"))
-    n_workers = cfg.n_heads
-    net = _build_network(cfg, root, n_workers)
-    streams = _make_streams(cfg, task, root, n_workers)
-    stale = [np.zeros((n_workers, layer.m, layer.n)) for layer in net.layers]
+def _lte_step(
+    cfg: RunConfig, net: Network, streams: list, batch: int
+) -> tuple[Step, list[WorkerState]]:
+    """One worker per stream on its own head; a step is one batched local
+    step of all N workers, with their stale products V as one (N, m, n)
+    stack per layer."""
+    stale = [np.zeros((len(streams), layer.m, layer.n)) for layer in net.layers]
     workers = [
         WorkerState(
             head_index=i,
-            stream=streams[i],
+            stream=stream,
             opt=KeyedOptimizer(cfg.optimizer, cfg.optim),
             corrections=[v[i] for v in stale],
             use_correction=cfg.policy.exact_correction,
         )
-        for i in range(n_workers)
+        for i, stream in enumerate(streams)
     ]
     corrections = stale if cfg.policy.exact_correction else None
-    worker_batch = cfg.batch_size // n_workers
+
+    def step():
+        return _local_steps(workers, net, [w.stream.next(batch) for w in workers], corrections)
+
+    return step, workers
+
+
+def _mhlora_step(
+    cfg: RunConfig, net: Network, streams: list, batch: int
+) -> tuple[Step, list[WorkerState]]:
+    """Joint multi-head training: each head takes its gradient from its own
+    shard through the shared multi-head forward, and all heads update at
+    once. A step is one multi-mode call on the stack of the N shards and one
+    update of each layer's (N, ...) head stacks; the optimizer is
+    element-wise, so slice j moves exactly as a per-head optimizer would
+    move head j."""
+    opt = KeyedOptimizer(cfg.optimizer, cfg.optim)
+    heads = range(len(streams))
+
+    def step():
+        row, grads = loss_and_grad(net, _stack([s.next(batch) for s in streams]), Mode.multi())
+        for li, layer in enumerate(net.layers):
+            layer.A[...] = opt.step((li, "A"), layer.A, grads[li].dA[heads])
+            layer.B[...] = opt.step((li, "B"), layer.B, grads[li].dB[heads])
+        return row
+
+    return step, []
+
+
+def _full_step(
+    cfg: RunConfig, net: Network, streams: list, batch: int
+) -> tuple[Step, list[WorkerState]]:
+    """Standard training of the base weights themselves (no heads)."""
+    opt = KeyedOptimizer(cfg.optimizer, cfg.optim)
+    (stream,) = streams
+
+    def step():
+        loss, grads = loss_and_grad(net, stream.next(batch), Mode.full())
+        for li, layer in enumerate(net.layers):
+            layer.W = opt.step((li, "W"), layer.W, grads[li].dW)
+        return [loss]
+
+    return step, []
+
+
+_STEPS = {"full": _full_step, "lora": _mhlora_step, "mhlora": _mhlora_step, "lte": _lte_step}
+
+
+def run(cfg: RunConfig) -> RunResult:
+    """Train in cfg.mode: the one loop every mode shares, around the mode's
+    step. Snapshots come every snapshot_interval steps (default: the merge
+    period) and at the last step; when there are workers they merge every
+    period steps; population MSE is evaluated after every step where it is
+    defined, and stop_mse ends the run at the first step at or under it."""
+    cfg.validate()
+    root = RandomSource(cfg.seed)
+    task = gen_least_squares(cfg.dataset.m, cfg.dataset.n, cfg.dataset.rank, root.child("task"))
+    n_heads = 0 if cfg.mode == "full" else cfg.n_heads
+    net = _build_network(cfg, root, n_heads)
+    streams = _make_streams(cfg, task, root, max(n_heads, 1))
+    batch = cfg.batch_size // len(streams)
+    step_fn, workers = _STEPS[cfg.mode](cfg, net, streams, batch)
     period = cfg.merge_period
     interval = cfg.snapshot_interval or period
     merge_rng = root.child("merge")
+    record_params = cfg.record_params and n_heads > 0
     do_eval = _eval_enabled(cfg)
 
     base_weights = _effective_weights(net, workers)
-    snapshots = [_snapshot(0, 0, net, workers, base_weights, None, cfg.record_params)]
     merges: list[UpdateRecord] = []
+
+    def snapshot(step: int, alignment: list[AlignmentReport] | None) -> Snapshot:
+        weights = _effective_weights(net, workers)
+        changes = [w - w0 for w, w0 in zip(weights, base_weights)]
+        params = None
+        if record_params:
+            params = [[(h.A.copy(), h.B.copy()) for h in layer.heads] for layer in net.layers]
+        return Snapshot(
+            step=step,
+            merge_id=len(merges),
+            weights=weights,
+            alignment=alignment,
+            weight_rank=[effective_rank(w) if np.any(w != 0.0) else float("nan") for w in weights],
+            update_rank=[effective_rank(c) if np.any(c != 0.0) else float("nan") for c in changes],
+            params=params,
+        )
+
+    snapshots = [snapshot(0, None)]
     losses = []
     eval_mse = []
     stopped_at = None
     for step in range(1, cfg.total_steps + 1):
-        batches = [w.stream.next(worker_batch) for w in workers]
-        losses.append(_local_steps(workers, net, batches, corrections))
+        losses.append(step_fn())
         snap_due = step % interval == 0
+        # alignment of the heads as trained, before a reset_B merge zeroes them
         align = _alignment(net) if snap_due else None
-        if step % period == 0:
+        if workers and step % period == 0:
             merges.append(
                 merge(net, workers, cfg.policy, merge_id=len(merges) + 1, step=step,
                       init=cfg.init, rng=merge_rng)
             )
         if snap_due:
-            snapshots.append(
-                _snapshot(step, len(merges), net, workers, base_weights, align, cfg.record_params)
-            )
+            snapshots.append(snapshot(step, align))
         if do_eval:
             mse = _population_mse(_effective_weights(net, workers), task)
             eval_mse.append(mse)
@@ -659,10 +700,7 @@ def run_lte(cfg: RunConfig) -> RunResult:
                 stopped_at = step
                 break
     if snapshots[-1].step != len(losses):
-        snapshots.append(
-            _snapshot(len(losses), len(merges), net, workers, base_weights,
-                      _alignment(net), cfg.record_params)
-        )
+        snapshots.append(snapshot(len(losses), _alignment(net)))
     return RunResult(
         config=cfg,
         task=task,
@@ -671,127 +709,34 @@ def run_lte(cfg: RunConfig) -> RunResult:
         eval_mse=np.asarray(eval_mse) if do_eval else None,
         merges=merges,
         snapshots=snapshots,
-        manifest=_manifest(cfg, n_workers, worker_batch),
+        manifest={
+            "config": asdict(cfg),
+            "code_version": _code_version,
+            "n_workers": len(streams),
+            "worker_batch": batch,
+            "dropped_samples_per_step": cfg.batch_size - batch * len(streams),
+        },
         stopped_at=stopped_at,
     )
+
+
+def run_lte(cfg: RunConfig) -> RunResult:
+    """Parallel local training with periodic merging (the bi-level loop)."""
+    if cfg.mode != "lte":
+        raise ConfigError(f"mode: run_lte needs mode 'lte', got {cfg.mode!r}")
+    return run(cfg)
 
 
 def run_mhlora(cfg: RunConfig) -> RunResult:
-    """Joint multi-head training: every step, each head takes its gradient
-    from its own shard through the shared multi-head forward, and all heads
-    update simultaneously. Serves as the T = 1 oracle for the bi-level loop;
-    with N = 1 this is plain single-adapter training.
-
-    A step is one multi-mode call on the stack of the N shards and one
-    update of each layer's (N, ...) head stacks. The optimizer is
-    element-wise, so slice j moves exactly as a per-head optimizer would
-    move head j.
-    """
-    cfg.validate()
+    """Joint multi-head training, the T = 1 oracle for the bi-level loop;
+    with N = 1 this is plain single-adapter training."""
     if cfg.mode not in ("lora", "mhlora"):
         raise ConfigError(f"mode: run_mhlora needs mode 'lora' or 'mhlora', got {cfg.mode!r}")
-    root = RandomSource(cfg.seed)
-    task = gen_least_squares(cfg.dataset.m, cfg.dataset.n, cfg.dataset.rank, root.child("task"))
-    n_heads = cfg.n_heads
-    net = _build_network(cfg, root, n_heads)
-    streams = _make_streams(cfg, task, root, n_heads)
-    opt = KeyedOptimizer(cfg.optimizer, cfg.optim)
-    heads = range(n_heads)
-    worker_batch = cfg.batch_size // n_heads
-    interval = cfg.snapshot_interval or cfg.merge_period
-    do_eval = _eval_enabled(cfg)
-
-    base_weights = _effective_weights(net)
-    snapshots = [_snapshot(0, 0, net, (), base_weights, None, cfg.record_params)]
-    losses = []
-    eval_mse = []
-    stopped_at = None
-    for step in range(1, cfg.total_steps + 1):
-        shards = _stack([s.next(worker_batch) for s in streams])
-        row, grads = loss_and_grad(net, shards, Mode.multi())
-        for li, layer in enumerate(net.layers):
-            layer.A[...] = opt.step((li, "A"), layer.A, grads[li].dA[heads])
-            layer.B[...] = opt.step((li, "B"), layer.B, grads[li].dB[heads])
-        losses.append(row)
-        if step % interval == 0:
-            snapshots.append(
-                _snapshot(step, 0, net, (), base_weights, _alignment(net), cfg.record_params)
-            )
-        if do_eval:
-            mse = _population_mse(_effective_weights(net), task)
-            eval_mse.append(mse)
-            if cfg.stop_mse is not None and mse <= cfg.stop_mse:
-                stopped_at = step
-                break
-    if snapshots[-1].step != len(losses):
-        snapshots.append(
-            _snapshot(len(losses), 0, net, (), base_weights, _alignment(net), cfg.record_params)
-        )
-    return RunResult(
-        config=cfg,
-        task=task,
-        network=net,
-        losses=np.asarray(losses),
-        eval_mse=np.asarray(eval_mse) if do_eval else None,
-        merges=[],
-        snapshots=snapshots,
-        manifest=_manifest(cfg, n_heads, worker_batch),
-        stopped_at=stopped_at,
-    )
+    return run(cfg)
 
 
 def run_full(cfg: RunConfig) -> RunResult:
     """Standard training of the base weights themselves (no heads)."""
-    cfg.validate()
     if cfg.mode != "full":
         raise ConfigError(f"mode: run_full needs mode 'full', got {cfg.mode!r}")
-    root = RandomSource(cfg.seed)
-    task = gen_least_squares(cfg.dataset.m, cfg.dataset.n, cfg.dataset.rank, root.child("task"))
-    net = _build_network(cfg, root, n_heads=0)
-    stream = _make_streams(cfg, task, root, 1)[0]
-    opt = KeyedOptimizer(cfg.optimizer, cfg.optim)
-    interval = cfg.snapshot_interval or cfg.merge_period
-    do_eval = _eval_enabled(cfg)
-
-    base_weights = _effective_weights(net)
-    snapshots = [_snapshot(0, 0, net, (), base_weights, None, False)]
-    losses = []
-    eval_mse = []
-    stopped_at = None
-    for step in range(1, cfg.total_steps + 1):
-        batch = stream.next(cfg.batch_size)
-        loss, grads = loss_and_grad(net, batch, Mode.full())
-        for li, layer in enumerate(net.layers):
-            layer.W = opt.step((li, "W"), layer.W, grads[li].dW)
-        losses.append([loss])
-        if step % interval == 0:
-            snapshots.append(_snapshot(step, 0, net, (), base_weights, None, False))
-        if do_eval:
-            mse = _population_mse(_effective_weights(net), task)
-            eval_mse.append(mse)
-            if cfg.stop_mse is not None and mse <= cfg.stop_mse:
-                stopped_at = step
-                break
-    if snapshots[-1].step != len(losses):
-        snapshots.append(_snapshot(len(losses), 0, net, (), base_weights, None, False))
-    return RunResult(
-        config=cfg,
-        task=task,
-        network=net,
-        losses=np.asarray(losses),
-        eval_mse=np.asarray(eval_mse) if do_eval else None,
-        merges=[],
-        snapshots=snapshots,
-        manifest=_manifest(cfg, 1, cfg.batch_size),
-        stopped_at=stopped_at,
-    )
-
-
-def run(cfg: RunConfig) -> RunResult:
-    """Dispatch on cfg.mode."""
-    cfg.validate()
-    if cfg.mode == "full":
-        return run_full(cfg)
-    if cfg.mode in ("lora", "mhlora"):
-        return run_mhlora(cfg)
-    return run_lte(cfg)
+    return run(cfg)

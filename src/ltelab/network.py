@@ -214,8 +214,17 @@ def forward(
     head. The cache holds each layer's input, pre-activation output and
     resolved terms, which is exactly what the backward pass needs.
     """
-    sharded = _sharded(mode, inputs)
-    x = as_matrix(inputs, "network inputs", stacked=sharded or isinstance(mode.head, range))
+    x = as_matrix(inputs, "network inputs", stacked=np.ndim(inputs) == 3)
+    return _forward(net, x, mode, corrections)
+
+
+def _forward(net: Network, x: Matrix, mode: Mode, corrections) -> tuple[Matrix, list[dict]]:
+    """`forward` on inputs already checked finite (a Batch's): only their
+    shape is checked here, against the mode."""
+    sharded = _sharded(mode, x)
+    ndim = 3 if sharded or isinstance(mode.head, range) else 2
+    if x.ndim != ndim:
+        raise ValueError(f"network inputs must be {ndim}-D, got shape {x.shape}")
     if isinstance(mode.head, range) and x.shape[0] != len(mode.head):
         raise ValueError(f"input stack of {x.shape[0]} does not match the {len(mode.head)} heads")
     if x.shape[-2] != net.in_dim:
@@ -263,7 +272,7 @@ def _loss_and_output_grad(
 
 
 def loss_value(net: Network, batch: Batch, mode: Mode, corrections=None) -> float | np.ndarray:
-    out, _ = forward(net, batch.inputs, mode, corrections)
+    out, _ = _forward(net, batch.inputs, mode, corrections)
     val, _ = _loss_and_output_grad(out, batch, net.loss)
     return val
 
@@ -285,7 +294,7 @@ def loss_and_grad(
     as one (N, ...) stack per factor, as batched worker mode keys it.
     """
     sharded = _sharded(mode, batch.inputs)
-    out, cache = forward(net, batch.inputs, mode, corrections)
+    out, cache = _forward(net, batch.inputs, mode, corrections)
     loss_val, u = _loss_and_output_grad(out, batch, net.loss)
     if include_base is None:
         include_base = mode.kind == "full"

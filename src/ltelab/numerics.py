@@ -28,7 +28,6 @@ __all__ = [
     "as_matrix",
     "init_matrix",
     "load_matrix_csv",
-    "matmul",
     "quantize_emulate",
     "save_matrix_csv",
     "svd",
@@ -160,15 +159,6 @@ def _semi_orthogonal(rows: int, cols: int, rng: RandomSource) -> Matrix:
     q = q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
     out = q.T if rows <= cols else q
     return out * math.sqrt(rows / cols)
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product with an explicit inner-dimension check."""
-    a = as_matrix(a, "matmul lhs")
-    b = as_matrix(b, "matmul rhs")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
 
 
 def svd(m: Matrix) -> tuple[Matrix, np.ndarray, Matrix]:

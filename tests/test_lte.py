@@ -489,6 +489,49 @@ class TestRunners:
         np.testing.assert_array_equal(a.losses, b.losses)
 
 
+class TestRunLoop:
+    """What the loop shared by every mode owns: when alignment is taken, the
+    final snapshot of an early stop, and which runs have heads to record."""
+
+    def test_alignment_taken_before_a_reset_b_merge(self):
+        # every snapshot step is a merge step, and a reset_B merge zeroes
+        # every B: alignment after it would exclude both heads and read NaN
+        res = run_lte(ls_config(mode="lte", n_heads=2, dim=8, period=5, snapshot_interval=5,
+                                total_steps=20))
+        assert res.config.policy.reset_B
+        assert [s.step for s in res.snapshots] == [0, 5, 10, 15, 20]
+        for snap in res.snapshots[1:]:
+            assert snap.alignment[0].excluded_heads == ()
+            assert np.isfinite(snap.alignment[0].mean_cosine)
+
+    @pytest.mark.parametrize("cfg", [
+        ls_config(mode="full", dim=8, eta=0.1, stop_mse=1e-3),
+        ls_config(mode="mhlora", n_heads=2, rank=4, dim=8, eta=0.2, stop_mse=1e-2),
+        ls_config(mode="lte", n_heads=2, rank=4, dim=8, eta=0.2, stop_mse=1e-3,
+                  policy=MergePolicy(period=5, reset_A=True), init_kind="xavier"),
+    ], ids=["full", "mhlora", "lte"])
+    def test_early_stop_ends_with_a_final_snapshot(self, cfg):
+        # no interval snapshot before the stop: the last one is the final one
+        cfg = dataclasses.replace(cfg, total_steps=5000, snapshot_interval=5000)
+        res = lte.run(cfg)
+        assert res.stopped_at == res.steps_run < cfg.total_steps
+        assert res.eval_mse[-1] <= cfg.stop_mse
+        final = res.snapshots[-1]
+        assert final.step == res.steps_run
+        assert final.merge_id == len(res.merges)
+
+    def test_full_run_has_no_heads_to_record(self):
+        cfg = ls_config(mode="full", n_heads=2, dim=8, period=2, total_steps=6, record_params=True)
+        res = run_full(cfg)
+        assert res.merges == []
+        assert [s.step for s in res.snapshots] == [0, 2, 4, 6]
+        for snap in res.snapshots:
+            assert snap.params is None
+            assert snap.alignment is None
+        assert res.manifest["n_workers"] == 1
+        assert res.manifest["worker_batch"] == cfg.batch_size
+
+
 class TestStepClock:
     """The benchmark stamps each training step at its first call through
     `ltelab.lte.loss_and_grad`; that needs a fixed number of calls per step."""

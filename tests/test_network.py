@@ -241,6 +241,26 @@ class TestLosses:
             loss_and_grad(net, Batch(inputs=x, targets=np.array([0.5, 1.5])), Mode.multi())
 
 
+class TestInputChecks:
+    """Non-finite data is rejected where it enters: a Batch's inputs when the
+    batch is built, raw forward inputs, and mse targets."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["matrix", "shard_stack"])
+    def test_non_finite_entries_raise(self, bad, lead):
+        net = random_net(RandomSource(20))
+        x, y = np.ones(lead + (4, 3)), np.zeros(lead + (5, 3))
+        x_bad, y_bad = x.copy(), y.copy()
+        x_bad[..., 1, 2] = bad
+        y_bad[..., 4, 0] = bad
+        with pytest.raises(ValueError, match="batch inputs contains non-finite"):
+            Batch(inputs=x_bad, targets=y)
+        with pytest.raises(ValueError, match="network inputs contains non-finite"):
+            forward(net, x_bad, Mode.multi())
+        with pytest.raises(ValueError, match="mse targets contains non-finite"):
+            loss_and_grad(net, Batch(inputs=x, targets=y_bad), Mode.multi())
+
+
 class TestGradients:
     @pytest.mark.parametrize("mode", [Mode.full(), Mode.single(0), Mode.multi(), Mode.worker(1)])
     @pytest.mark.parametrize("loss", ["mse", "softmax_ce"])

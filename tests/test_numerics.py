@@ -6,36 +6,10 @@ from ltelab.numerics import (
     RandomSource,
     init_matrix,
     load_matrix_csv,
-    matmul,
     quantize_emulate,
     save_matrix_csv,
     svd,
 )
-
-
-class TestMatmul:
-    def test_identity(self):
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((2, 7))
-        np.testing.assert_array_equal(matmul(np.eye(2), x), x)
-
-    def test_hand_product(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[1.0], [1.0]])
-        np.testing.assert_array_equal(matmul(a, b), [[3.0], [7.0]])
-
-    def test_associativity(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((3, 4))
-        b = rng.standard_normal((4, 5))
-        c = rng.standard_normal((5, 2))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        assert np.abs(left - right).max() <= 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
 
 
 class TestSvd:
