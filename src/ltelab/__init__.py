@@ -51,7 +51,6 @@ from .numerics import (
     RandomSource,
     init_matrix,
     load_matrix_csv,
-    quantize_emulate,
     save_matrix_csv,
     svd,
 )

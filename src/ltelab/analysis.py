@@ -106,7 +106,7 @@ def head_alignment(layer: LoraLinear, rank_tol: float = 1e-10) -> AlignmentRepor
     if n_heads < 2:
         raise ValueError(f"head_alignment needs at least 2 heads, got {n_heads}")
     r = layer.rank
-    products = [h.product() for h in layer.heads]
+    products = layer.B @ layer.A
     vecs = [p.ravel() for p in products]
     norms = [float(np.linalg.norm(v)) for v in vecs]
 

@@ -76,9 +76,6 @@ class HeadView:
     def rank(self) -> int:
         return self._A.shape[0]
 
-    def product(self) -> Matrix:
-        return self._B @ self._A
-
 
 def _write(target: Matrix, value, what: str) -> None:
     if np.shape(value) != target.shape:

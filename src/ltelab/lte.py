@@ -15,9 +15,11 @@ every mode, around a per-mode step, driven by one seeded, deterministic
 configuration. Workers may conceptually run in parallel: between merges W is
 read-only, each head is owned by exactly one worker, and merge reduction sums
 heads in index order, so results never depend on worker execution order. The
-lte step emulates that parallelism with one batched step for all N workers,
-on the layers' stacked heads; the joint multi-head step likewise takes one
-batched step for all N heads.
+lte step emulates that parallelism with one batched step for all N workers.
+Every head update (one worker's `local_step`, the lte step, the joint
+multi-head step) is one `loss_and_grad` call and one update of the layers'
+stacked heads under one optimizer, whose moments are stacked alike; merges
+take every head's product from the stacks at once.
 """
 
 from __future__ import annotations
@@ -275,30 +277,6 @@ class KeyedOptimizer:
         self.states.clear()
 
 
-def _stacked_step(opts: list[KeyedOptimizer], key, param: Matrix, grad: Matrix) -> Matrix:
-    """One update of a (k, ...) parameter stack, slice j under opts[j]'s
-    state for `key`; the optimizers must share kind and configuration. The
-    arithmetic is element-wise, so every slice moves exactly as its own
-    KeyedOptimizer.step would move it."""
-    opt = opts[0]
-    if opt.kind == "sgd":
-        return sgd_step(param, grad, opt.cfg.eta)
-    zero = AdamState.zeros(param.shape[1:])
-    states = [o.states.get(key, zero) for o in opts]
-    counts = {st.step_count for st in states}
-    if len(counts) != 1:
-        raise ValueError(f"stacked workers disagree on optimizer step counts: {sorted(counts)}")
-    stacked = AdamState(
-        m=np.stack([st.m for st in states]),
-        v=np.stack([st.v for st in states]),
-        step_count=counts.pop(),
-    )
-    new, stacked = adamw_step(param, grad, stacked, opt.cfg)
-    for j, o in enumerate(opts):
-        o.states[key] = AdamState(m=stacked.m[j], v=stacked.v[j], step_count=stacked.step_count)
-    return new
-
-
 def _stack(batches: list[Batch]) -> Batch:
     """One (k, ...) batch stack, slice j holding batches[j]."""
     return Batch(
@@ -340,7 +318,8 @@ class WorkerState:
     """One worker: its head index, private stream, optimizer, and per-layer
     correction matrices V (all-zero unless exact correction is active). The
     runner's V are views on one (N, m, n) stack per layer; merge refreshes
-    them in place."""
+    them in place. The runner's workers share one optimizer over the head
+    stacks: worker j's moments are slice j of its (N, ...) states."""
 
     head_index: int
     stream: object
@@ -409,37 +388,27 @@ def local_step(worker: WorkerState, net: Network, batch: Batch) -> float:
     Base weights and other heads are untouched; in exact-correction mode the
     stale products V are subtracted inside the forward pass.
     """
-    corr = [v[None] for v in worker.corrections] if worker.use_correction else None
-    return float(_local_steps([worker], net, [batch], corr)[0])
+    h = worker.head_index
+    corr = worker.corrections if worker.use_correction else None
+    loss = _train_heads(net, worker.opt, batch, Mode.worker(h), h, corr)
+    worker.steps_since_merge += 1
+    worker.total_steps += 1
+    return float(loss)
 
 
-def _local_steps(
-    workers: list[WorkerState], net: Network, batches: list[Batch], corrections
-) -> np.ndarray:
-    """One local step for each of k workers with consecutive heads, at once:
-    one batched forward and backward (worker j's batch through head
-    h_j only, minus its own stale product) and one stacked optimizer update.
-
-    corrections holds one (k, m, n) stack of the workers' V per layer, or
-    None. Workers are independent, so the result equals k local_step calls
-    in any order. Returns the k losses.
-    """
-    first = workers[0].head_index
-    heads = range(first, first + len(workers))
-    if [w.head_index for w in workers] != list(heads):
-        raise ValueError("stacked workers must hold consecutive heads in ascending order")
-    opts = [w.opt for w in workers]
-    if any(o.kind != opts[0].kind or o.cfg != opts[0].cfg for o in opts[1:]):
-        raise ValueError("stacked workers must share one optimizer configuration")
-    losses, grads = loss_and_grad(net, _stack(batches), Mode.worker(heads), corrections=corrections)
+def _train_heads(net: Network, opt: KeyedOptimizer, batch: Batch, mode: Mode,
+                 heads: int | range, corrections=None):
+    """One loss_and_grad call in `mode`, then one update of the factors of
+    `heads` (one head, or a range whose (k, ...) stacks update at once)
+    under opt, keyed (li, "A") and (li, "B"). The optimizer is element-wise,
+    so slice j of a stack moves exactly as head j alone would. Returns the
+    loss, one per slice for a stacked batch."""
+    loss, grads = loss_and_grad(net, batch, mode, corrections=corrections)
     for li, layer in enumerate(net.layers):
         A, B = layer.factors(heads)
-        A[...] = _stacked_step(opts, (li, "A"), A, grads[li].dA[heads])
-        B[...] = _stacked_step(opts, (li, "B"), B, grads[li].dB[heads])
-    for w in workers:
-        w.steps_since_merge += 1
-        w.total_steps += 1
-    return losses
+        A[...] = opt.step((li, "A"), A, grads[li].dA[heads])
+        B[...] = opt.step((li, "B"), B, grads[li].dB[heads])
+    return loss
 
 
 def merge(
@@ -465,34 +434,28 @@ def merge(
         raise ValueError("reset_A needs an init scheme and a random source")
 
     n = len(workers)
+    heads = range(n)
     deltas: list[Matrix] = []
     worker_deltas: list[list[Matrix]] = [[] for _ in workers]
     for li, layer in enumerate(net.layers):
-        total = np.zeros_like(layer.W)
-        for w in workers:
-            head = layer.heads[w.head_index]
-            prod = head.B @ head.A
-            if policy.exact_correction:
-                contrib = layer.s * (prod - w.corrections[li])
-                w.corrections[li][...] = prod
-            else:
-                contrib = layer.s * prod
-            worker_deltas[w.head_index].append(contrib)
-            total = total + contrib
-        delta = total / n
+        A, B = layer.factors(heads)
+        contribs = B @ A  # the products, turned into contributions in place
+        if policy.exact_correction:
+            for w, c in zip(workers, contribs):
+                stale = w.corrections[li].copy()
+                w.corrections[li][...] = c
+                c -= stale
+        contribs *= layer.s
+        for wd, contrib in zip(worker_deltas, contribs):
+            wd.append(contrib)
+        delta = contribs.sum(axis=0) / n
         deltas.append(delta)
         layer.W = layer.W + delta
-
-    for li, layer in enumerate(net.layers):
-        for w in workers:
-            head = layer.heads[w.head_index]
-            if policy.reset_B:
-                head.B = np.zeros_like(head.B)
-            if policy.reset_A:
-                head.A = init_matrix(
-                    head.A.shape[0], head.A.shape[1], init,
-                    rng.child(merge_id, li, w.head_index),
-                )
+        if policy.reset_B:
+            B[...] = 0.0
+        if policy.reset_A:
+            for h in heads:
+                A[h] = init_matrix(A.shape[1], A.shape[2], init, rng.child(merge_id, li, h))
     if policy.reset_opt:
         for w in workers:
             w.opt.reset_states()
@@ -577,22 +540,30 @@ def _lte_step(
 ) -> tuple[Step, list[WorkerState]]:
     """One worker per stream on its own head; a step is one batched local
     step of all N workers, with their stale products V as one (N, m, n)
-    stack per layer."""
+    stack per layer and their optimizer moments as (N, ...) stacks in the
+    one optimizer they share."""
+    opt = KeyedOptimizer(cfg.optimizer, cfg.optim)
     stale = [np.zeros((len(streams), layer.m, layer.n)) for layer in net.layers]
     workers = [
         WorkerState(
             head_index=i,
             stream=stream,
-            opt=KeyedOptimizer(cfg.optimizer, cfg.optim),
+            opt=opt,
             corrections=[v[i] for v in stale],
             use_correction=cfg.policy.exact_correction,
         )
         for i, stream in enumerate(streams)
     ]
     corrections = stale if cfg.policy.exact_correction else None
+    heads = range(len(streams))
 
     def step():
-        return _local_steps(workers, net, [w.stream.next(batch) for w in workers], corrections)
+        batches = _stack([w.stream.next(batch) for w in workers])
+        losses = _train_heads(net, opt, batches, Mode.worker(heads), heads, corrections)
+        for w in workers:
+            w.steps_since_merge += 1
+            w.total_steps += 1
+        return losses
 
     return step, workers
 
@@ -603,18 +574,12 @@ def _mhlora_step(
     """Joint multi-head training: each head takes its gradient from its own
     shard through the shared multi-head forward, and all heads update at
     once. A step is one multi-mode call on the stack of the N shards and one
-    update of each layer's (N, ...) head stacks; the optimizer is
-    element-wise, so slice j moves exactly as a per-head optimizer would
-    move head j."""
+    update of each layer's (N, ...) head stacks."""
     opt = KeyedOptimizer(cfg.optimizer, cfg.optim)
     heads = range(len(streams))
 
     def step():
-        row, grads = loss_and_grad(net, _stack([s.next(batch) for s in streams]), Mode.multi())
-        for li, layer in enumerate(net.layers):
-            layer.A[...] = opt.step((li, "A"), layer.A, grads[li].dA[heads])
-            layer.B[...] = opt.step((li, "B"), layer.B, grads[li].dB[heads])
-        return row
+        return _train_heads(net, opt, _stack([s.next(batch) for s in streams]), Mode.multi(), heads)
 
     return step, []
 

@@ -192,6 +192,8 @@ def effective_weight(layer: LoraLinear, corrections=None) -> Matrix:
     if not layer.num_heads:
         return layer.W.copy()
     terms = Mode.multi().terms(layer)
+    # one product at a time: a summed (N, m, n) stack of the products costs
+    # more than the N matmul calls once the stack outgrows the cache
     acc = np.zeros_like(layer.W)
     for h, _, _ in terms:
         A, B = layer.factors(h)

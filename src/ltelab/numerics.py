@@ -1,4 +1,4 @@
-"""Dense matrix kernels, splittable randomness, initialization, and quantization emulation.
+"""Dense matrix kernels, splittable randomness and initialization.
 
 Matrices are plain 2-D float64 numpy arrays (rows x cols). All functions here
 are pure: they never mutate their inputs, and returned arrays are owned by the
@@ -28,7 +28,6 @@ __all__ = [
     "as_matrix",
     "init_matrix",
     "load_matrix_csv",
-    "quantize_emulate",
     "save_matrix_csv",
     "svd",
 ]
@@ -175,24 +174,6 @@ def singular_values(m: Matrix) -> np.ndarray:
     """Singular values only, descending."""
     m = as_matrix(m, "singular_values input")
     return np.linalg.svd(m, compute_uv=False)
-
-
-def quantize_emulate(m: Matrix, bits: int) -> Matrix:
-    """Emulate b-bit storage with per-row absmax symmetric quantization.
-
-    Each row is scaled by absmax / (2^(bits-1) - 1), rounded to the nearest
-    integer level, and rescaled; storage stays float64. All-zero rows pass
-    through unchanged, and re-quantizing a quantized matrix is the identity.
-    """
-    m = as_matrix(m, "quantize input")
-    bits = int(bits)
-    if not 2 <= bits <= 8:
-        raise ValueError(f"bits must be in 2..8, got {bits}")
-    levels = 2 ** (bits - 1) - 1
-    absmax = np.abs(m).max(axis=1, keepdims=True)
-    scale = absmax / levels
-    safe = np.where(scale > 0.0, scale, 1.0)
-    return np.round(m / safe) * safe
 
 
 def save_matrix_csv(m: Matrix, path: str | os.PathLike) -> None:

@@ -48,7 +48,6 @@ class TestConstruction:
         np.testing.assert_array_equal(head.A, layer.A[1])
         head.B = np.ones((5, 2))  # assignment writes into the stack
         np.testing.assert_array_equal(layer.B[1], np.ones((5, 2)))
-        np.testing.assert_array_equal(head.product(), layer.B[1] @ layer.A[1])
         with pytest.raises(ValueError, match="shape"):
             head.A = np.ones((4, 2))
         A, B = layer.factors(range(1, 3))

@@ -20,7 +20,8 @@ from ltelab.lte import (
     RunConfig,
     WorkerState,
     _eval_enabled,
-    _local_steps,
+    _stack,
+    _train_heads,
     config_from_dict,
     local_step,
     merge,
@@ -131,9 +132,11 @@ def batched_cases(draw):
     }
 
 
-def _batched_setup(case):
+def _batched_setup(case, shared_opt=False):
     """Network, workers and per-layer (N, m, n) stale-product stacks that the
-    workers' corrections are views on, as run_lte builds them."""
+    workers' corrections are views on, as run_lte builds them; with
+    shared_opt every worker holds the same optimizer, as in run_lte, else
+    each worker has its own."""
     rng = RandomSource(case["seed"])
     n_heads, r, dims = case["n_heads"], case["r"], case["dims"]
     layers = []
@@ -149,47 +152,62 @@ def _batched_setup(case):
     net = Network(layers, activations=acts)
     stale = [rng.child("V", li).standard_normal((n_heads, layer.m, layer.n))
              * (0.5 / np.sqrt(layer.n)) for li, layer in enumerate(layers)]
+    shared = KeyedOptimizer(case["optimizer"], OptimConfig(eta=0.05))
     workers = [
         WorkerState(head_index=i, stream=None,
-                    opt=KeyedOptimizer(case["optimizer"], OptimConfig(eta=0.05)),
+                    opt=shared if shared_opt else KeyedOptimizer(case["optimizer"], shared.cfg),
                     corrections=[v[i] for v in stale], use_correction=case["exact"])
         for i in range(n_heads)
     ]
     return net, workers, stale
 
 
+def _worker_moments(workers, shared_opt):
+    """Each worker's optimizer state per key as (step count, m bytes, v
+    bytes); under a shared optimizer worker j's are slice j of its stacks."""
+    return [{key: (st.step_count, (st.m[j] if shared_opt else st.m).tobytes(),
+                   (st.v[j] if shared_opt else st.v).tobytes())
+             for key, st in w.opt.states.items()}
+            for j, w in enumerate(workers)]
+
+
 class TestBatchedStep:
     @given(batched_cases(), st.randoms(use_true_random=False))
     @settings(max_examples=60, derandomize=True, deadline=None)
     def test_equals_sequential_local_steps(self, case, order_rng):
-        # one batched step for all workers is bitwise k local_step calls, in
-        # any worker order, across a reset_opt merge that refreshes V
+        # one batched step of all workers under one shared optimizer is
+        # bitwise k local_step calls with one optimizer per worker, in any
+        # worker order, across a reset_opt merge that refreshes V; the
+        # moments are compared before each merge, as reset_opt clears them
         rng = RandomSource(case["seed"]).child("data")
         n_heads, b, dims = case["n_heads"], case["batch"], case["dims"]
+        heads = range(n_heads)
         policy = (exact_policy(reset_opt=True) if case["exact"]
                   else MergePolicy(period=1, reset_opt=True))
         rounds = []
         for rnd, steps in enumerate(case["steps"]):
             rounds.append([[Batch(inputs=rng.child("x", rnd, t, i).standard_normal((dims[0], b)),
                                   targets=rng.child("y", rnd, t, i).standard_normal((dims[-1], b)))
-                            for i in range(n_heads)] for t in range(steps)])
+                            for i in heads] for t in range(steps)])
         runs = []
         for batched in (True, False):
-            net, workers, stale = _batched_setup(case)
+            net, workers, stale = _batched_setup(case, shared_opt=batched)
             corr = stale if case["exact"] else None
-            losses = []
+            losses, moments = [], []
             for rnd, round_batches in enumerate(rounds):
                 for batches in round_batches:
                     if batched:
-                        losses.append(_local_steps(workers, net, batches, corr))
+                        losses.append(_train_heads(net, workers[0].opt, _stack(batches),
+                                                   Mode.worker(heads), heads, corr))
                     else:
                         row = np.zeros(n_heads)
-                        for i in order_rng.sample(range(n_heads), n_heads):
+                        for i in order_rng.sample(heads, n_heads):
                             row[i] = local_step(workers[i], net, batches[i])
                         losses.append(row)
+                moments.append(_worker_moments(workers, shared_opt=batched))
                 merge(net, workers, policy, merge_id=rnd + 1)
-            runs.append((net, workers, stale, np.array(losses)))
-        (net_a, workers_a, stale_a, loss_a), (net_b, workers_b, stale_b, loss_b) = runs
+            runs.append((net, stale, np.array(losses), moments))
+        (net_a, stale_a, loss_a, moments_a), (net_b, stale_b, loss_b, moments_b) = runs
         assert np.isfinite(loss_a).all()
         assert loss_a.tobytes() == loss_b.tobytes()
         for la, lb in zip(net_a.layers, net_b.layers):
@@ -197,25 +215,7 @@ class TestBatchedStep:
                 assert arr_a.tobytes() == arr_b.tobytes()
         for va, vb in zip(stale_a, stale_b):
             assert va.tobytes() == vb.tobytes()
-        for wa, wb in zip(workers_a, workers_b):
-            assert wa.opt.states.keys() == wb.opt.states.keys()
-            for key, sa in wa.opt.states.items():
-                sb = wb.opt.states[key]
-                assert sa.step_count == sb.step_count
-                assert sa.m.tobytes() == sb.m.tobytes() and sa.v.tobytes() == sb.v.tobytes()
-
-    def test_workers_must_hold_consecutive_heads(self):
-        net, task, workers, rng = tiny_setup(n_heads=3)
-        batches = [sample_batch(task, 4, rng.child("b", i)) for i in range(3)]
-        with pytest.raises(ValueError, match="consecutive"):
-            _local_steps([workers[0], workers[2]], net, batches[:2], None)
-
-    def test_adam_step_counts_must_agree(self):
-        net, task, workers, rng = tiny_setup(n_heads=2, optimizer="adamw")
-        local_step(workers[0], net, sample_batch(task, 4, rng.child("b")))
-        batches = [sample_batch(task, 4, rng.child("b", i)) for i in range(2)]
-        with pytest.raises(ValueError, match="step counts"):
-            _local_steps(workers, net, batches, None)
+        assert moments_a == moments_b
 
 
 class TestMerge:
@@ -268,9 +268,18 @@ class TestMerge:
 
     def test_delta_is_mean_of_worker_deltas(self):
         net, _, workers, rng = tiny_setup(n_heads=4)
-        for hi, h in enumerate(net.layers[0].heads):
+        layer = net.layers[0]
+        for hi, h in enumerate(layer.heads):
             h.B = rng.child("bfill", hi).standard_normal(h.B.shape)
+        # reference: one head at a time, summed in index order
+        contribs = [layer.s * (h.B @ h.A) for h in layer.heads]
+        total = np.zeros_like(layer.W)
+        for c in contribs:
+            total = total + c
         rec = merge(net, workers, MergePolicy(period=1))
+        for wd, c in zip(rec.worker_deltas, contribs):
+            assert wd[0].tobytes() == c.tobytes()
+        assert rec.delta[0].tobytes() == (total / 4).tobytes()
         stacked = np.stack([wd[0] for wd in rec.worker_deltas])
         np.testing.assert_allclose(rec.delta[0], stacked.mean(axis=0), atol=1e-15)
 
@@ -292,6 +301,46 @@ class TestMerge:
         assert workers[0].opt.states
         merge(net, workers, MergePolicy(period=1, reset_opt=True))
         assert not workers[0].opt.states
+
+    def test_reset_opt_clears_the_runners_shared_optimizer(self):
+        cfg = ls_config(dim=4, n_heads=3, optimizer="adamw",
+                        policy=MergePolicy(period=1, reset_opt=True))
+        net, task, _, rng = tiny_setup(n_heads=3)
+        streams = [lte.IidStream(task, rng.child("stream", i)) for i in range(3)]
+        step, workers = lte._lte_step(cfg, net, streams, 4)
+        step()
+        opt = workers[0].opt
+        assert all(w.opt is opt for w in workers)
+        assert opt.states and all(st.m.shape[0] == 3 for st in opt.states.values())
+        merge(net, workers, cfg.policy)
+        assert not opt.states
+
+    def test_stacked_and_separate_corrections_merge_alike(self):
+        # the runner's V are views on one (N, m, n) stack, tiny_setup's are
+        # independent arrays; two exact merges read and refresh both alike
+        runs = []
+        for stacked in (True, False):
+            net, _, workers, rng = tiny_setup(n_heads=3, exact=True)
+            stale = rng.child("V").standard_normal((3, 4, 4))
+            for w in workers:
+                w.corrections = [stale[w.head_index] if stacked else stale[w.head_index].copy()]
+            records = []
+            for merge_id in (1, 2):
+                for hi, h in enumerate(net.layers[0].heads):
+                    h.B = rng.child("B", merge_id, hi).standard_normal(h.B.shape)
+                records.append(merge(net, workers, exact_policy(), merge_id=merge_id))
+            runs.append((net.layers[0].W, records, [w.corrections[0] for w in workers]))
+            if stacked:
+                assert all(np.shares_memory(w.corrections[0], stale) for w in workers)
+                np.testing.assert_array_equal(stale, np.stack(runs[-1][2]))
+        (w_a, rec_a, v_a), (w_b, rec_b, v_b) = runs
+        assert w_a.tobytes() == w_b.tobytes()
+        for ra, rb in zip(rec_a, rec_b):
+            assert ra.delta[0].tobytes() == rb.delta[0].tobytes()
+            for da, db in zip(ra.worker_deltas, rb.worker_deltas):
+                assert da[0].tobytes() == db[0].tobytes()
+        for va, vb in zip(v_a, v_b):
+            assert va.tobytes() == vb.tobytes()
 
 
 @st.composite

@@ -6,7 +6,6 @@ from ltelab.numerics import (
     RandomSource,
     init_matrix,
     load_matrix_csv,
-    quantize_emulate,
     save_matrix_csv,
     svd,
 )
@@ -86,46 +85,6 @@ class TestInitMatrix:
     def test_bad_kind(self):
         with pytest.raises(ValueError):
             InitScheme("glorot")
-
-
-class TestQuantize:
-    def test_zero_matrix(self):
-        for bits in (2, 4, 8):
-            np.testing.assert_array_equal(quantize_emulate(np.zeros((3, 3)), bits), np.zeros((3, 3)))
-
-    def test_two_bit_levels(self):
-        # levels at 2 bits are {-1, 0, +1}; +-1 are exactly representable
-        np.testing.assert_array_equal(
-            quantize_emulate(np.array([[1.0, -1.0]]), 2), np.array([[1.0, -1.0]])
-        )
-
-    def test_step_size_bound(self):
-        rng = np.random.default_rng(11)
-        m = rng.standard_normal((8, 8)) * 3.0
-        q = quantize_emulate(m, 4)
-        absmax = np.abs(m).max(axis=1, keepdims=True)
-        bound = absmax / 7 / 2
-        assert np.all(np.abs(q - m) <= bound + 1e-12)
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(12)
-        for bits in (2, 3, 4, 8):
-            m = rng.standard_normal((5, 9))
-            q = quantize_emulate(m, bits)
-            np.testing.assert_array_equal(quantize_emulate(q, bits), q)
-
-    def test_sign_preserved_away_from_ties(self):
-        rng = np.random.default_rng(13)
-        m = rng.standard_normal((6, 6))
-        q = quantize_emulate(m, 6)
-        step = np.abs(m).max(axis=1, keepdims=True) / 31
-        clear = np.abs(m) > 0.51 * step  # strictly beyond the first tie
-        assert np.all(np.sign(q[clear]) == np.sign(m[clear]))
-
-    def test_bits_range(self):
-        for bad in (1, 9):
-            with pytest.raises(ValueError):
-                quantize_emulate(np.ones((2, 2)), bad)
 
 
 class TestRandomSource:
