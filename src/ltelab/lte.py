@@ -605,8 +605,9 @@ _STEPS = {"full": _full_step, "lora": _mhlora_step, "mhlora": _mhlora_step, "lte
 
 def run(cfg: RunConfig) -> RunResult:
     """Train in cfg.mode: the one loop every mode shares, around the mode's
-    step. Snapshots come every snapshot_interval steps (default: the merge
-    period) and at the last step; when there are workers they merge every
+    step. Snapshots come at step 0, every snapshot_interval steps and at the
+    last step; the default interval is the merge period, or the whole run
+    in modes that never merge. When there are workers they merge every
     period steps; population MSE is evaluated after every step where it is
     defined, and stop_mse ends the run at the first step at or under it."""
     cfg.validate()
@@ -618,7 +619,7 @@ def run(cfg: RunConfig) -> RunResult:
     batch = cfg.batch_size // len(streams)
     step_fn, workers = _STEPS[cfg.mode](cfg, net, streams, batch)
     period = cfg.merge_period
-    interval = cfg.snapshot_interval or period
+    interval = cfg.snapshot_interval or (period if workers else cfg.total_steps)
     merge_rng = root.child("merge")
     record_params = cfg.record_params and n_heads > 0
     do_eval = _eval_enabled(cfg)

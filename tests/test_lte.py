@@ -540,7 +540,8 @@ class TestRunners:
 
 class TestRunLoop:
     """What the loop shared by every mode owns: when alignment is taken, the
-    final snapshot of an early stop, and which runs have heads to record."""
+    final snapshot of an early stop, which runs have heads to record, and
+    the default snapshot schedule."""
 
     def test_alignment_taken_before_a_reset_b_merge(self):
         # every snapshot step is a merge step, and a reset_B merge zeroes
@@ -570,7 +571,8 @@ class TestRunLoop:
         assert final.merge_id == len(res.merges)
 
     def test_full_run_has_no_heads_to_record(self):
-        cfg = ls_config(mode="full", n_heads=2, dim=8, period=2, total_steps=6, record_params=True)
+        cfg = ls_config(mode="full", n_heads=2, dim=8, period=2, total_steps=6,
+                        snapshot_interval=2, record_params=True)
         res = run_full(cfg)
         assert res.merges == []
         assert [s.step for s in res.snapshots] == [0, 2, 4, 6]
@@ -579,6 +581,17 @@ class TestRunLoop:
             assert snap.alignment is None
         assert res.manifest["n_workers"] == 1
         assert res.manifest["worker_batch"] == cfg.batch_size
+
+    @pytest.mark.parametrize("mode, n_heads", [("full", 1), ("lora", 1), ("mhlora", 2)])
+    def test_runs_without_merges_snapshot_first_and_last_step_by_default(self, mode, n_heads):
+        # the default interval is the merge period only where merges happen
+        res = lte.run(ls_config(mode=mode, n_heads=n_heads, dim=8, total_steps=60))
+        assert res.merges == []
+        assert [s.step for s in res.snapshots] == [0, 60]
+
+    def test_lte_snapshots_every_merge_by_default(self):
+        res = run_lte(ls_config(mode="lte", n_heads=2, dim=8, period=5, total_steps=20))
+        assert [s.step for s in res.snapshots] == [0, 5, 10, 15, 20]
 
 
 class TestStepClock:
