@@ -15,11 +15,12 @@ every mode, around a per-mode step, driven by one seeded, deterministic
 configuration. Workers may conceptually run in parallel: between merges W is
 read-only, each head is owned by exactly one worker, and merge reduction sums
 heads in index order, so results never depend on worker execution order. The
-lte step emulates that parallelism with one batched step for all N workers.
-Every head update (one worker's `local_step`, the lte step, the joint
-multi-head step) is one `loss_and_grad` call and one update of the layers'
-stacked heads under one optimizer, whose moments are stacked alike; merges
-take every head's product from the stacks at once.
+lte step emulates that parallelism with one batched step for all N workers
+on one Batch, whose slice j the run's one stream draws from worker j's own
+Philox stream or pool shard. Every head update (one worker's `local_step`,
+the lte step, the joint multi-head step) is one `loss_and_grad` call and one
+update of the layers' stacked heads under one optimizer, whose moments are
+stacked alike; merges take every head's product from the stacks at once.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import __version__ as _code_version
 from .analysis import AlignmentReport, effective_rank, head_alignment
-from .data import LeastSquaresTask, gen_least_squares, sample_batch
+from .data import LeastSquaresTask, gen_least_squares
 from .layers import LoraHead, LoraLinear
 from .network import ACTIVATIONS, LOSSES, Batch, Mode, Network, effective_weight, loss_and_grad
 from .numerics import INIT_KINDS, InitScheme, Matrix, RandomSource, init_matrix
@@ -277,49 +278,49 @@ class KeyedOptimizer:
         self.states.clear()
 
 
-def _stack(batches: list[Batch]) -> Batch:
-    """One (k, ...) batch stack, slice j holding batches[j]."""
-    return Batch(
-        inputs=np.stack([b.inputs for b in batches]),
-        targets=np.stack([b.targets for b in batches]),
-    )
-
-
 class IidStream:
-    """Private i.i.d. mini-batch stream over a least-squares task."""
+    """Private i.i.d. streams over a least-squares task, one per rng: a draw
+    is the (k, n, b) inputs, slice j from rngs[j], and their targets W* x."""
 
-    def __init__(self, task: LeastSquaresTask, rng: RandomSource):
+    def __init__(self, task: LeastSquaresTask, rngs: Sequence[RandomSource]):
         self.task = task
-        self.rng = rng
+        self.rngs = list(rngs)
 
-    def next(self, batch_size: int) -> Batch:
-        return sample_batch(self.task, batch_size, self.rng)
+    def next(self, batch_size: int) -> tuple[np.ndarray, np.ndarray]:
+        x = np.stack([rng.standard_normal((self.task.n, batch_size)) for rng in self.rngs])
+        return x, self.task.W_star @ x
 
 
 class PooledStream:
-    """Fixed-pool stream: one worker's column shard, cycled in order."""
+    """Fixed-pool streams over k column shards, shard j (the pool columns j,
+    j + k, ...) cycling in order with its own length; a draw stacks all k
+    like IidStream. cursor counts the samples each shard has given."""
 
-    def __init__(self, x: Matrix, y: Matrix, worker: int, n_workers: int):
-        self.x = x[:, worker::n_workers].copy()
-        self.y = y[:, worker::n_workers].copy()
-        if self.x.shape[1] == 0:
-            raise ValueError(f"pool leaves worker {worker} without samples")
+    def __init__(self, x: Matrix, y: Matrix, k: int):
+        if x.shape[1] < k:
+            raise ValueError(f"pool of {x.shape[1]} samples leaves a worker of {k} without samples")
+        # sample-major copies, so that a draw gathers whole rows
+        self.xt, self.yt = np.ascontiguousarray(x.T), np.ascontiguousarray(y.T)
+        self.shards = np.arange(k)[:, None]
+        self.sizes = (x.shape[1] - self.shards + k - 1) // k
         self.cursor = 0
 
-    def next(self, batch_size: int) -> Batch:
-        ncols = self.x.shape[1]
-        idx = (self.cursor + np.arange(batch_size)) % ncols
-        self.cursor = int((self.cursor + batch_size) % ncols)
-        return Batch(inputs=self.x[:, idx], targets=self.y[:, idx])
+    def next(self, batch_size: int) -> tuple[np.ndarray, np.ndarray]:
+        local = (self.cursor + np.arange(batch_size)) % self.sizes
+        self.cursor += batch_size
+        cols = self.shards + len(self.shards) * local  # (k, b) pool columns
+        # views, column-major per slice: a contiguous copy rounds differently downstream
+        return self.xt[cols].transpose(0, 2, 1), self.yt[cols].transpose(0, 2, 1)
 
 
 @dataclass
 class WorkerState:
     """One worker: its head index, private stream, optimizer, and per-layer
     correction matrices V (all-zero unless exact correction is active). The
-    runner's V are views on one (N, m, n) stack per layer; merge refreshes
-    them in place. The runner's workers share one optimizer over the head
-    stacks: worker j's moments are slice j of its (N, ...) states."""
+    runner's workers have no stream: worker j trains on slice j of the run's
+    one stream. Their V are views on one (N, m, n) stack per layer, refreshed
+    in place by merge, and they share one optimizer over the head stacks:
+    worker j's moments are slice j of its (N, ...) states."""
 
     head_index: int
     stream: object
@@ -428,13 +429,13 @@ def merge(
     counts = {w.steps_since_merge for w in workers}
     if len(counts) != 1:
         raise ValueError(f"workers disagree on local step counts: {sorted(counts)}")
-    if [w.head_index for w in workers] != list(range(len(workers))):
+    owners = [w.head_index for w in workers]
+    if any(owners != list(range(layer.num_heads)) for layer in net.layers):
         raise ValueError("workers must be ordered by head index and cover every head")
     if policy.reset_A and (init is None or rng is None):
         raise ValueError("reset_A needs an init scheme and a random source")
 
-    n = len(workers)
-    heads = range(n)
+    heads = range(len(workers))
     deltas: list[Matrix] = []
     worker_deltas: list[list[Matrix]] = [[] for _ in workers]
     for li, layer in enumerate(net.layers):
@@ -448,7 +449,7 @@ def merge(
         contribs *= layer.s
         for wd, contrib in zip(worker_deltas, contribs):
             wd.append(contrib)
-        delta = contribs.sum(axis=0) / n
+        delta = contribs.sum(axis=0) / len(heads)
         deltas.append(delta)
         layer.W = layer.W + delta
         if policy.reset_B:
@@ -483,13 +484,11 @@ def _build_network(cfg: RunConfig, root: RandomSource, n_heads: int) -> Network:
     return Network(layers, activations=acts, loss=cfg.arch.loss)
 
 
-def _make_streams(cfg: RunConfig, task: LeastSquaresTask, root: RandomSource, n_workers: int):
+def _make_stream(cfg: RunConfig, task: LeastSquaresTask, root: RandomSource, k: int):
     if cfg.dataset.pool is None:
-        return [IidStream(task, root.child("worker", i)) for i in range(n_workers)]
-    pool_rng = root.child("pool")
-    x = pool_rng.standard_normal((task.n, cfg.dataset.pool))
-    y = task.W_star @ x
-    return [PooledStream(x, y, i, n_workers) for i in range(n_workers)]
+        return IidStream(task, [root.child("worker", i) for i in range(k)])
+    x = root.child("pool").standard_normal((task.n, cfg.dataset.pool))
+    return PooledStream(x, task.W_star @ x, k)
 
 
 def _effective_weights(net: Network, workers: Sequence[WorkerState] = ()) -> list[Matrix]:
@@ -528,38 +527,38 @@ def _alignment(net: Network) -> list[AlignmentReport] | None:
     return [head_alignment(layer) for layer in net.layers]
 
 
-# Each mode's `_*_step` function takes (cfg, net, streams, per-stream batch
-# size) and returns the step, which trains on one batch from each stream and
-# returns that step's row of losses, plus the workers to merge (none outside
-# lte).
+# Each mode's `_*_step` function takes (cfg, net, the run's stream, per-slice
+# batch size) and returns the step, which trains on one draw of the stream's
+# (k, ...) stack and returns that step's row of losses, plus the workers to
+# merge (none outside lte).
 Step = Callable[[], Sequence[float]]
 
 
 def _lte_step(
-    cfg: RunConfig, net: Network, streams: list, batch: int
+    cfg: RunConfig, net: Network, stream, batch: int
 ) -> tuple[Step, list[WorkerState]]:
-    """One worker per stream on its own head; a step is one batched local
-    step of all N workers, with their stale products V as one (N, m, n)
-    stack per layer and their optimizer moments as (N, ...) stacks in the
-    one optimizer they share."""
+    """One worker per head, worker j training on slice j of the stream; a
+    step is one batched local step of all N workers, with their stale
+    products V as one (N, m, n) stack per layer and their optimizer moments
+    as (N, ...) stacks in the one optimizer they share."""
     opt = KeyedOptimizer(cfg.optimizer, cfg.optim)
-    stale = [np.zeros((len(streams), layer.m, layer.n)) for layer in net.layers]
+    heads = range(cfg.n_heads)
+    stale = [np.zeros((len(heads), layer.m, layer.n)) for layer in net.layers]
     workers = [
         WorkerState(
             head_index=i,
-            stream=stream,
+            stream=None,
             opt=opt,
             corrections=[v[i] for v in stale],
             use_correction=cfg.policy.exact_correction,
         )
-        for i, stream in enumerate(streams)
+        for i in heads
     ]
     corrections = stale if cfg.policy.exact_correction else None
-    heads = range(len(streams))
 
     def step():
-        batches = _stack([w.stream.next(batch) for w in workers])
-        losses = _train_heads(net, opt, batches, Mode.worker(heads), heads, corrections)
+        losses = _train_heads(net, opt, Batch(*stream.next(batch)), Mode.worker(heads), heads,
+                              corrections)
         for w in workers:
             w.steps_since_merge += 1
             w.total_steps += 1
@@ -569,30 +568,30 @@ def _lte_step(
 
 
 def _mhlora_step(
-    cfg: RunConfig, net: Network, streams: list, batch: int
+    cfg: RunConfig, net: Network, stream, batch: int
 ) -> tuple[Step, list[WorkerState]]:
     """Joint multi-head training: each head takes its gradient from its own
     shard through the shared multi-head forward, and all heads update at
-    once. A step is one multi-mode call on the stack of the N shards and one
-    update of each layer's (N, ...) head stacks."""
+    once. A step is one multi-mode call on the stream's stack of the N
+    shards and one update of each layer's (N, ...) head stacks."""
     opt = KeyedOptimizer(cfg.optimizer, cfg.optim)
-    heads = range(len(streams))
+    heads = range(cfg.n_heads)
 
     def step():
-        return _train_heads(net, opt, _stack([s.next(batch) for s in streams]), Mode.multi(), heads)
+        return _train_heads(net, opt, Batch(*stream.next(batch)), Mode.multi(), heads)
 
     return step, []
 
 
 def _full_step(
-    cfg: RunConfig, net: Network, streams: list, batch: int
+    cfg: RunConfig, net: Network, stream, batch: int
 ) -> tuple[Step, list[WorkerState]]:
     """Standard training of the base weights themselves (no heads)."""
     opt = KeyedOptimizer(cfg.optimizer, cfg.optim)
-    (stream,) = streams
 
     def step():
-        loss, grads = loss_and_grad(net, stream.next(batch), Mode.full())
+        x, y = stream.next(batch)
+        loss, grads = loss_and_grad(net, Batch(x[0], y[0]), Mode.full())
         for li, layer in enumerate(net.layers):
             layer.W = opt.step((li, "W"), layer.W, grads[li].dW)
         return [loss]
@@ -615,9 +614,9 @@ def run(cfg: RunConfig) -> RunResult:
     task = gen_least_squares(cfg.dataset.m, cfg.dataset.n, cfg.dataset.rank, root.child("task"))
     n_heads = 0 if cfg.mode == "full" else cfg.n_heads
     net = _build_network(cfg, root, n_heads)
-    streams = _make_streams(cfg, task, root, max(n_heads, 1))
-    batch = cfg.batch_size // len(streams)
-    step_fn, workers = _STEPS[cfg.mode](cfg, net, streams, batch)
+    k = max(n_heads, 1)
+    batch = cfg.batch_size // k
+    step_fn, workers = _STEPS[cfg.mode](cfg, net, _make_stream(cfg, task, root, k), batch)
     period = cfg.merge_period
     interval = cfg.snapshot_interval or (period if workers else cfg.total_steps)
     merge_rng = root.child("merge")
@@ -678,9 +677,9 @@ def run(cfg: RunConfig) -> RunResult:
         manifest={
             "config": asdict(cfg),
             "code_version": _code_version,
-            "n_workers": len(streams),
+            "n_workers": k,
             "worker_batch": batch,
-            "dropped_samples_per_step": cfg.batch_size - batch * len(streams),
+            "dropped_samples_per_step": cfg.batch_size - batch * k,
         },
         stopped_at=stopped_at,
     )

@@ -1,12 +1,13 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 from conftest import exact_policy, ls_config
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ltelab import lte
+from ltelab import lte, network
 from ltelab.analysis import trajectory_deviation
 from ltelab.data import gen_least_squares, sample_batch
 from ltelab.layers import LoraHead, LoraLinear
@@ -20,7 +21,6 @@ from ltelab.lte import (
     RunConfig,
     WorkerState,
     _eval_enabled,
-    _stack,
     _train_heads,
     config_from_dict,
     local_step,
@@ -197,7 +197,9 @@ class TestBatchedStep:
             for rnd, round_batches in enumerate(rounds):
                 for batches in round_batches:
                     if batched:
-                        losses.append(_train_heads(net, workers[0].opt, _stack(batches),
+                        stack = Batch(inputs=np.stack([bt.inputs for bt in batches]),
+                                      targets=np.stack([bt.targets for bt in batches]))
+                        losses.append(_train_heads(net, workers[0].opt, stack,
                                                    Mode.worker(heads), heads, corr))
                     else:
                         row = np.zeros(n_heads)
@@ -289,6 +291,15 @@ class TestMerge:
         with pytest.raises(ValueError, match="step count"):
             merge(net, workers, MergePolicy(period=1))
 
+    def test_partial_worker_set_rejected(self):
+        # two workers cannot merge a three-head layer: head 2 would keep its
+        # B, and the delta would weigh each head s/2 against the view's s/3
+        net, _, workers, _ = tiny_setup(n_heads=3)
+        w_before = net.layers[0].W.copy()
+        with pytest.raises(ValueError, match="cover every head"):
+            merge(net, workers[:2], MergePolicy(period=1))
+        np.testing.assert_array_equal(net.layers[0].W, w_before)
+
     def test_reset_a_requires_scheme(self):
         net, _, workers, _ = tiny_setup()
         with pytest.raises(ValueError, match="reset_A"):
@@ -306,8 +317,8 @@ class TestMerge:
         cfg = ls_config(dim=4, n_heads=3, optimizer="adamw",
                         policy=MergePolicy(period=1, reset_opt=True))
         net, task, _, rng = tiny_setup(n_heads=3)
-        streams = [lte.IidStream(task, rng.child("stream", i)) for i in range(3)]
-        step, workers = lte._lte_step(cfg, net, streams, 4)
+        stream = lte.IidStream(task, [rng.child("stream", i) for i in range(3)])
+        step, workers = lte._lte_step(cfg, net, stream, 4)
         step()
         opt = workers[0].opt
         assert all(w.opt is opt for w in workers)
@@ -354,7 +365,7 @@ def mhlora_configs(draw):
     return RunConfig(
         mode=draw(st.sampled_from(["lora", "mhlora"])) if n_heads == 1 else "mhlora",
         dataset=DatasetSpec(m=dims[-1], n=dims[0], rank=task_rank,
-                            pool=draw(st.sampled_from([None, 3 * n_heads]))),
+                            pool=draw(st.sampled_from([None, 3 * n_heads, 3 * n_heads + 2]))),
         arch=ArchSpec(dims=dims, activation=draw(st.sampled_from(["identity", "relu"])),
                       w_init=draw(st.sampled_from(["zeros", "kaiming"]))),
         n_heads=n_heads,
@@ -368,6 +379,25 @@ def mhlora_configs(draw):
     )
 
 
+def _worker_draws(task, root, k, pool, b):
+    """Yields, per step, the batches of b samples that k workers draw each
+    on their own: worker i i.i.d. from root.child("worker", i), or from the
+    pool columns i, i + k, ... cycled in order."""
+    if pool is None:
+        rngs = [root.child("worker", i) for i in range(k)]
+        while True:
+            yield [sample_batch(task, b, rng) for rng in rngs]
+    x = root.child("pool").standard_normal((task.n, pool))
+    y = task.W_star @ x
+    for start in itertools.count(0, b):
+        batches = []
+        for i in range(k):
+            xs, ys = x[:, i::k], y[:, i::k]
+            idx = (start + np.arange(b)) % xs.shape[1]
+            batches.append(Batch(inputs=xs[:, idx], targets=ys[:, idx]))
+        yield batches
+
+
 def _mhlora_per_head(cfg):
     """Reference joint multi-head run, head by head: N plain multi-mode calls
     per step, call i on shard i keeping only head i's gradient, then head
@@ -375,14 +405,14 @@ def _mhlora_per_head(cfg):
     root = RandomSource(cfg.seed)
     task = gen_least_squares(cfg.dataset.m, cfg.dataset.n, cfg.dataset.rank, root.child("task"))
     net = lte._build_network(cfg, root, cfg.n_heads)
-    streams = lte._make_streams(cfg, task, root, cfg.n_heads)
+    draws = _worker_draws(task, root, cfg.n_heads, cfg.dataset.pool,
+                          cfg.batch_size // cfg.n_heads)
     opts = [KeyedOptimizer(cfg.optimizer, cfg.optim) for _ in range(cfg.n_heads)]
-    shard = cfg.batch_size // cfg.n_heads
     losses = []
     for _ in range(cfg.total_steps):
         row, head_grads = [], []
-        for i, stream in enumerate(streams):
-            loss, grads = loss_and_grad(net, stream.next(shard), Mode.multi())
+        for i, batch in enumerate(next(draws)):
+            loss, grads = loss_and_grad(net, batch, Mode.multi())
             row.append(loss)
             head_grads.append([(g.dA[i], g.dB[i]) for g in grads])
         for i, opt in enumerate(opts):
@@ -589,6 +619,29 @@ class TestRunLoop:
         assert res.merges == []
         assert [s.step for s in res.snapshots] == [0, 60]
 
+    @pytest.mark.parametrize("pool", [None, 40], ids=["iid", "pool"])
+    @pytest.mark.parametrize("mode, n_heads", [("full", 1), ("mhlora", 3), ("lte", 3)])
+    def test_each_step_checks_inputs_and_targets_once(self, monkeypatch, mode, n_heads, pool):
+        # one as_matrix call for the step's Batch and one for its mse targets;
+        # steps 3-6 take no snapshot, and lte merges on steps 4 and 6
+        calls = [0]
+        original = network.as_matrix
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(network, "as_matrix", counted)
+        cfg = ls_config(mode=mode, n_heads=n_heads, dim=8, batch_size=12, period=2,
+                        snapshot_interval=100)
+        cfg = dataclasses.replace(cfg, dataset=dataclasses.replace(cfg.dataset, pool=pool))
+        totals = []
+        for steps in (2, 6):
+            calls[0] = 0
+            lte.run(dataclasses.replace(cfg, total_steps=steps))
+            totals.append(calls[0])
+        assert totals[1] - totals[0] == 2 * 4
+
     def test_lte_snapshots_every_merge_by_default(self):
         res = run_lte(ls_config(mode="lte", n_heads=2, dim=8, period=5, total_steps=20))
         assert [s.step for s in res.snapshots] == [0, 5, 10, 15, 20]
@@ -648,13 +701,52 @@ class TestPooledStream:
     def test_shards_disjoint_and_cycling(self):
         x = np.arange(12.0).reshape(1, 12)
         y = 2.0 * x
-        s0 = PooledStream(x, y, 0, 2)
-        s1 = PooledStream(x, y, 1, 2)
-        b0 = s0.next(6)
-        b1 = s1.next(6)
-        np.testing.assert_array_equal(b0.inputs.ravel(), x[0, 0::2])
-        np.testing.assert_array_equal(b1.inputs.ravel(), x[0, 1::2])
-        np.testing.assert_array_equal(s0.next(6).inputs, b0.inputs)  # full cycle repeats
+        stream = PooledStream(x, y, 2)
+        xs, ys = stream.next(6)
+        assert xs.shape == ys.shape == (2, 1, 6)
+        np.testing.assert_array_equal(xs[0].ravel(), x[0, 0::2])
+        np.testing.assert_array_equal(xs[1].ravel(), x[0, 1::2])
+        np.testing.assert_array_equal(ys, 2.0 * xs)
+        np.testing.assert_array_equal(stream.next(6)[0], xs)  # full cycle repeats
+
+    def test_pool_must_cover_every_shard(self):
+        with pytest.raises(ValueError, match="without samples"):
+            PooledStream(np.ones((1, 2)), np.ones((1, 2)), 3)
+
+
+@st.composite
+def stream_cases(draw):
+    """k streams of n -> m data, b samples a draw, i.i.d. or from a pool of
+    k to 4k + 3 samples (shards of uneven length, and shorter than b)."""
+    k = draw(st.integers(1, 5))
+    return dict(k=k, n=draw(st.integers(1, 6)), m=draw(st.integers(1, 6)),
+                b=draw(st.integers(1, 9)), pool=draw(st.none() | st.integers(k, 4 * k + 3)),
+                draws=draw(st.integers(1, 6)), seed=draw(st.integers(0, 2**32 - 1)))
+
+
+class TestStreams:
+    @given(stream_cases())
+    @example(dict(k=3, n=4, m=2, b=7, pool=10, draws=5, seed=1))
+    @example(dict(k=4, n=8, m=8, b=5, pool=None, draws=3, seed=2))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_stack_equals_per_worker_draws(self, case):
+        # over several draws, slice j of the stack is bitwise what worker j
+        # draws on its own: its own Philox stream, or its own pool shard
+        # cycled with its own length
+        k, b, pool = case["k"], case["b"], case["pool"]
+        root = RandomSource(case["seed"])
+        task = gen_least_squares(case["m"], case["n"], min(case["m"], case["n"]),
+                                 root.child("task"))
+        cfg = dataclasses.replace(ls_config(), dataset=DatasetSpec(
+            m=case["m"], n=case["n"], rank=task.target_rank, pool=pool))
+        stream = lte._make_stream(cfg, task, root, k)
+        own = _worker_draws(task, root, k, pool, b)
+        for _ in range(case["draws"]):
+            xs, ys = stream.next(b)
+            assert xs.shape == (k, case["n"], b) and ys.shape == (k, case["m"], b)
+            for j, batch in enumerate(next(own)):
+                assert xs[j].tobytes() == batch.inputs.tobytes()
+                assert ys[j].tobytes() == batch.targets.tobytes()
 
 
 class TestConfig:
