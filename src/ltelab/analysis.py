@@ -78,8 +78,9 @@ def grassman_distance(p: Matrix, q: Matrix, k: int) -> float:
 class AlignmentReport:
     """Pairwise similarity of head products B_i A_i.
 
-    cosine is an N x N symmetric matrix with unit diagonal (vectorized
-    products). grassman holds pairwise subspace distances at k = rank, with
+    cosine is an N x N symmetric matrix with unit diagonal: the Frobenius
+    cosine <B_i A_i, B_j A_j> / (|B_i A_i| |B_j A_j|), 0 where a product is
+    zero. grassman holds pairwise subspace distances at k = rank, with
     NaN where a head was excluded. Two means are reported for the Grassman
     statistic: the conventional mean over unordered pairs, and the same sum
     divided by 2N (a normalization that equals the pair count only for N = 3,
@@ -100,29 +101,42 @@ def head_alignment(layer: LoraLinear, rank_tol: float = 1e-10) -> AlignmentRepor
 
     Heads whose product is zero (or numerically rank-deficient below the
     nominal rank) cannot span the k-dimensional subspace the distance is
-    defined on; they are excluded from both statistics and flagged.
+    defined on; they are excluded from the Grassman statistic and flagged,
+    and zero heads read cosine 0.
+
+    Everything is computed from the (N, m, r) and (N, r, n) factor stacks,
+    never from the m x n products. The products' inner products are
+    <B_i A_i, B_j A_j> = tr((B_i^T B_j)(A_j A_i^T)), the elementwise sum of
+    two r x r Gram blocks. For a nonzero head, QR(B) = Q_B R_B and
+    QR(A^T) = Q_A R_A give B A = Q_B (R_B R_A^T) Q_A^T, so the r x r core
+    R_B R_A^T carries the product's singular values for the rank test, and a
+    full-rank head's column space is span(Q_B).
     """
     n_heads = layer.num_heads
     if n_heads < 2:
         raise ValueError(f"head_alignment needs at least 2 heads, got {n_heads}")
     r = layer.rank
-    products = layer.B @ layer.A
-    vecs = [p.ravel() for p in products]
-    norms = [float(np.linalg.norm(v)) for v in vecs]
+    A = as_matrix(layer.A, "head A stack", stacked=True)
+    B = as_matrix(layer.B, "head B stack", stacked=True)
+    # (N r x N r) Grams of all factor columns / rows; block (i, j) is
+    # B_i^T B_j resp. A_i A_j^T
+    b_cols = B.transpose(1, 0, 2).reshape(layer.m, n_heads * r)
+    a_rows = A.reshape(n_heads * r, layer.n)
+    inner = ((b_cols.T @ b_cols) * (a_rows @ a_rows.T)).reshape(n_heads, r, n_heads, r).sum(
+        axis=(1, 3)
+    )
+    norms = np.sqrt(np.maximum(np.diag(inner), 0.0))
 
-    excluded = []
-    bases = []
-    for i, p in enumerate(products):
-        if norms[i] == 0.0:
-            excluded.append(i)
-            bases.append(None)
-            continue
-        u, sv, _ = svd(p)
-        if int(np.sum(sv > rank_tol * sv[0])) < r:
-            excluded.append(i)
-            bases.append(None)
-        else:
-            bases.append(u[:, :r])
+    bases: list[Matrix | None] = [None] * n_heads
+    live = np.flatnonzero(norms > 0.0)
+    if live.size:
+        q_b, r_b = np.linalg.qr(B[live])
+        r_a = np.linalg.qr(A[live].transpose(0, 2, 1), mode="r")
+        sv = np.linalg.svd(r_b @ r_a.transpose(0, 2, 1), compute_uv=False)
+        for k, i in enumerate(live):
+            if int(np.sum(sv[k] > rank_tol * sv[k, 0])) == r:
+                bases[i] = q_b[k]
+    excluded = [i for i in range(n_heads) if bases[i] is None]
 
     cosine = np.eye(n_heads)
     grassman = np.full((n_heads, n_heads), np.nan)
@@ -132,7 +146,7 @@ def head_alignment(layer: LoraLinear, rank_tol: float = 1e-10) -> AlignmentRepor
     for i in range(n_heads):
         for j in range(i + 1, n_heads):
             if norms[i] > 0.0 and norms[j] > 0.0:
-                c = float(np.dot(vecs[i], vecs[j]) / (norms[i] * norms[j]))
+                c = float(inner[i, j] / (norms[i] * norms[j]))
                 c = min(1.0, max(-1.0, c))
                 cosine[i, j] = cosine[j, i] = c
                 cos_vals.append(c)

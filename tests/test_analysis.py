@@ -3,8 +3,12 @@ import math
 import numpy as np
 import pytest
 from conftest import exact_policy, ls_config
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltelab.analysis import (
+    AlignmentReport,
+    _principal_angle_distance,
     effective_gradient,
     effective_rank,
     grassman_distance,
@@ -15,8 +19,19 @@ from ltelab.analysis import (
 )
 from ltelab.data import gen_least_squares, sample_batch
 from ltelab.layers import LoraHead, LoraLinear
-from ltelab.lte import Snapshot, UpdateRecord, run_lte, run_mhlora
-from ltelab.numerics import RandomSource
+from ltelab.lte import (
+    KeyedOptimizer,
+    MergePolicy,
+    Snapshot,
+    UpdateRecord,
+    WorkerState,
+    merge,
+    run_lte,
+    run_mhlora,
+)
+from ltelab.network import Network
+from ltelab.numerics import RandomSource, svd
+from ltelab.optim import OptimConfig
 
 
 class TestEffectiveRank:
@@ -138,6 +153,7 @@ class TestHeadAlignment:
         layer = layer_with_heads([(a, b), (zero_a, np.zeros((5, 2)))])
         rep = head_alignment(layer)
         assert rep.excluded_heads == (1,)
+        assert rep.cosine[0, 1] == 0.0
         assert math.isnan(rep.grassman[0, 1])
         assert math.isnan(rep.mean_grassman_pairs)
 
@@ -159,6 +175,130 @@ class TestHeadAlignment:
         layer = layer_with_heads([(rng.child("a").standard_normal((2, 4)),
                                    rng.child("b").standard_normal((4, 2)))])
         with pytest.raises(ValueError, match="2 heads"):
+            head_alignment(layer)
+
+
+def dense_alignment(layer, rank_tol=1e-10):
+    """Oracle: head alignment from the dense m x n products, one full SVD per
+    head and raveled products for the cosines."""
+    n_heads = layer.num_heads
+    r = layer.rank
+    products = layer.B @ layer.A
+    vecs = [p.ravel() for p in products]
+    norms = [float(np.linalg.norm(v)) for v in vecs]
+    excluded = []
+    bases = []
+    for i, p in enumerate(products):
+        if norms[i] == 0.0:
+            excluded.append(i)
+            bases.append(None)
+            continue
+        u, sv, _ = svd(p)
+        if int(np.sum(sv > rank_tol * sv[0])) < r:
+            excluded.append(i)
+            bases.append(None)
+        else:
+            bases.append(u[:, :r])
+    cosine = np.eye(n_heads)
+    grassman = np.full((n_heads, n_heads), np.nan)
+    np.fill_diagonal(grassman, 0.0)
+    cos_vals = []
+    gr_vals = []
+    for i in range(n_heads):
+        for j in range(i + 1, n_heads):
+            if norms[i] > 0.0 and norms[j] > 0.0:
+                c = min(1.0, max(-1.0, float(np.dot(vecs[i], vecs[j]) / (norms[i] * norms[j]))))
+                cosine[i, j] = cosine[j, i] = c
+                cos_vals.append(c)
+            else:
+                cosine[i, j] = cosine[j, i] = 0.0
+            if bases[i] is not None and bases[j] is not None:
+                d = _principal_angle_distance(bases[i], bases[j])
+                grassman[i, j] = grassman[j, i] = d
+                gr_vals.append(d)
+    nan = float("nan")
+    return AlignmentReport(
+        cosine=cosine,
+        mean_cosine=float(np.mean(cos_vals)) if cos_vals else nan,
+        grassman=grassman,
+        mean_grassman_pairs=float(np.mean(gr_vals)) if gr_vals else nan,
+        mean_grassman_scaled=float(2.0 * np.sum(gr_vals) / (2.0 * n_heads)) if gr_vals else nan,
+        rank=r,
+        excluded_heads=tuple(excluded),
+    )
+
+
+def assert_reports_agree(rep, oracle, atol=1e-12):
+    assert rep.excluded_heads == oracle.excluded_heads
+    assert rep.rank == oracle.rank
+    for name in ("cosine", "mean_cosine", "grassman", "mean_grassman_pairs",
+                 "mean_grassman_scaled"):
+        np.testing.assert_allclose(getattr(rep, name), getattr(oracle, name), rtol=0.0,
+                                   atol=atol, err_msg=name)
+
+
+@st.composite
+def alignment_shapes(draw, max_dim=12):
+    """(m, n, r, N, seed) with m != n and r < m: at r = m every head spans all
+    of R^m, and every Grassman entry is arccos-amplified rounding."""
+    m = draw(st.integers(2, max_dim))
+    n = draw(st.integers(1, max_dim).filter(lambda v: v != m))
+    r = draw(st.integers(1, min(m - 1, n)))
+    return m, n, r, draw(st.integers(2, 5)), draw(st.integers(0, 2**32 - 1))
+
+
+def gaussian_layer(rng, m, n, r, n_heads):
+    pairs = [(rng.child("a", i).standard_normal((r, n)), rng.child("b", i).standard_normal((m, r)))
+             for i in range(n_heads)]
+    return layer_with_heads(pairs)
+
+
+class TestFactoredAlignment:
+    """head_alignment works on the factor stacks; the dense-SVD oracle above
+    is the definition it must reproduce."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(alignment_shapes())
+    def test_matches_dense_oracle(self, shape):
+        m, n, r, n_heads, seed = shape
+        layer = gaussian_layer(RandomSource(seed), m, n, r, n_heads)
+        assert_reports_agree(head_alignment(layer), dense_alignment(layer))
+
+    def test_zero_b_after_reset_b_merge(self):
+        layer = gaussian_layer(RandomSource(30), 7, 5, 2, 3)
+        workers = [
+            WorkerState(head_index=i, stream=None, opt=KeyedOptimizer("sgd", OptimConfig(eta=0.1)),
+                        corrections=[np.zeros((7, 5))], use_correction=False)
+            for i in range(3)
+        ]
+        merge(Network([layer]), workers, MergePolicy(period=1))
+        assert not layer.B.any()
+        rep = head_alignment(layer)
+        assert rep.excluded_heads == (0, 1, 2)
+        assert_reports_agree(rep, dense_alignment(layer))
+
+    def test_repeated_rows_of_a(self):
+        layer = gaussian_layer(RandomSource(32), 7, 5, 2, 3)
+        layer.A[2, 1] = layer.A[2, 0]
+        rep = head_alignment(layer)
+        assert rep.excluded_heads == dense_alignment(layer).excluded_heads == (2,)
+
+    @pytest.mark.parametrize("eps, excluded", [(1e-8, ()), (1e-11, (2,))])
+    def test_near_rank_deficient_a(self, eps, excluded):
+        # either side of rank_tol = 1e-10: the second singular value of the
+        # product is about 1.6 eps relative to the first
+        rng = RandomSource(0)
+        layer = gaussian_layer(rng, 7, 5, 2, 3)
+        layer.A[2, 1] = layer.A[2, 0] + eps * rng.child("other").standard_normal(5)
+        rep = head_alignment(layer)
+        assert rep.excluded_heads == dense_alignment(layer).excluded_heads == excluded
+
+    @pytest.mark.parametrize("factor", ["A", "B"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_factor_rejected(self, factor, value):
+        layer = gaussian_layer(RandomSource(33), 7, 5, 2, 3)
+        getattr(layer, factor)[1, 0, 0] = value
+        with pytest.raises(ValueError, match="non-finite"):
             head_alignment(layer)
 
 
