@@ -1,8 +1,9 @@
 """Exactly-corrected merging at period 1 IS joint multi-head training.
 
 Workers that keep their parameters across merges, subtract their stale
-product (s/N) V in the forward pass, and merge (s/N) sum (B A - V) every step
-follow the joint multi-head trajectory bit-for-bit (up to rounding): same
+product (s/N) B° A° (their head at the last merge) in the forward pass, and
+merge (s/N) sum (B A - B° A°) every step follow the joint multi-head
+trajectory bit-for-bit (up to rounding): same
 batches, same gradients, same optimizer states, so the effective weights
 coincide to machine precision over hundreds of steps.
 """

@@ -43,15 +43,19 @@ def effective_rank(m: Matrix) -> float:
     return float(np.exp(-np.sum(p * np.log(p))))
 
 
-def _principal_angle_distance(u: Matrix, v: Matrix) -> float:
-    """Root-sum-square of the principal angles between two orthonormal bases.
+def _principal_angle_distance(u: Matrix, v: Matrix) -> float | np.ndarray:
+    """Root-sum-square of the principal angles between two orthonormal bases,
+    or one per pair for (P, m, k) stacks of P pairs of bases.
 
-    Singular values of U^T V are clamped into [0, 1] before arccos since
-    rounding can push them marginally outside.
+    Each angle is arctan2 of its sine, a singular value of V - U (U^T V)
+    (ascending), and its cosine, one of U^T V (descending): arccos of the
+    cosine alone reads rounding near 1 as angles of about 1e-8.
     """
-    sig = np.linalg.svd(u.T @ v, compute_uv=False)
-    theta = np.arccos(np.clip(sig, 0.0, 1.0))
-    return float(np.sqrt(np.sum(theta * theta)))
+    proj = u.swapaxes(-1, -2) @ v
+    sin = np.linalg.svd(v - u @ proj, compute_uv=False)[..., ::-1]
+    theta = np.arctan2(sin, np.linalg.svd(proj, compute_uv=False))
+    dist = np.sqrt(np.sum(theta * theta, axis=-1))
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def grassman_distance(p: Matrix, q: Matrix, k: int) -> float:
@@ -142,7 +146,7 @@ def head_alignment(layer: LoraLinear, rank_tol: float = 1e-10) -> AlignmentRepor
     grassman = np.full((n_heads, n_heads), np.nan)
     np.fill_diagonal(grassman, 0.0)
     cos_vals = []
-    gr_vals = []
+    based = []  # pairs of heads that both have a basis
     for i in range(n_heads):
         for j in range(i + 1, n_heads):
             if norms[i] > 0.0 and norms[j] > 0.0:
@@ -153,13 +157,18 @@ def head_alignment(layer: LoraLinear, rank_tol: float = 1e-10) -> AlignmentRepor
             else:
                 cosine[i, j] = cosine[j, i] = 0.0
             if bases[i] is not None and bases[j] is not None:
-                d = _principal_angle_distance(bases[i], bases[j])
-                grassman[i, j] = grassman[j, i] = d
-                gr_vals.append(d)
+                based.append((i, j))
+    gr_vals = np.zeros(0)
+    if based:
+        # every pair's distance from one stacked call
+        gr_vals = _principal_angle_distance(np.stack([bases[i] for i, _ in based]),
+                                            np.stack([bases[j] for _, j in based]))
+        for (i, j), d in zip(based, gr_vals):
+            grassman[i, j] = grassman[j, i] = d
 
     mean_cos = float(np.mean(cos_vals)) if cos_vals else float("nan")
-    mean_gr_pairs = float(np.mean(gr_vals)) if gr_vals else float("nan")
-    mean_gr_scaled = float(2.0 * np.sum(gr_vals) / (2.0 * n_heads)) if gr_vals else float("nan")
+    mean_gr_pairs = float(np.mean(gr_vals)) if gr_vals.size else float("nan")
+    mean_gr_scaled = float(2.0 * np.sum(gr_vals) / (2.0 * n_heads)) if gr_vals.size else float("nan")
     return AlignmentReport(
         cosine=cosine,
         mean_cosine=mean_cos,

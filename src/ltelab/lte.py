@@ -3,11 +3,11 @@ on their own heads, then a synchronized merge into the base weights.
 
 Two merge flavors exist. Averaged merging adds (s/N) * sum_n B_n A_n to W and
 (by default) zeroes every B so the post-merge multi-head function is
-preserved. Exact-corrected merging keeps the head parameters and instead
-tracks each worker's product at the last merge in a correction matrix V_n:
-workers subtract their stale share (s/N) V_n in the forward pass, the merge
-adds (s/N) * sum_n (B_n A_n - V_n), and V_n is refreshed. With T = 1 the
-corrected scheme reproduces joint multi-head training exactly.
+preserved. Exact-corrected merging keeps the head parameters and each
+worker's head factors at the last merge, (A°_n, B°_n): workers subtract
+their stale share (s/N) B°_n A°_n in the forward pass, the merge adds
+(s/N) * sum_n (B_n A_n - B°_n A°_n) and refreshes (A°_n, B°_n). With T = 1
+the corrected scheme reproduces joint multi-head training exactly.
 
 Joint multi-head training (the T = 1 oracle) and full-weight training are
 the same loop with a different step and no merge: `run` is that one loop for
@@ -316,16 +316,16 @@ class PooledStream:
 @dataclass
 class WorkerState:
     """One worker: its head index, private stream, optimizer, and per-layer
-    correction matrices V (all-zero unless exact correction is active). The
-    runner's workers have no stream: worker j trains on slice j of the run's
-    one stream. Their V are views on one (N, m, n) stack per layer, refreshed
-    in place by merge, and they share one optimizer over the head stacks:
-    worker j's moments are slice j of its (N, ...) states."""
+    stale corrections, the factors (A°, B°) of its head at the last merge.
+    The runner's workers have no stream: worker j trains on slice j of the
+    run's one stream. Their (A°, B°) are views on stacks shaped like the head
+    stacks, refreshed in place by merge, and they share one optimizer over
+    the head stacks: worker j's moments are slice j of its (N, ...) states."""
 
     head_index: int
     stream: object
     opt: KeyedOptimizer
-    corrections: list[Matrix]
+    corrections: list[tuple[Matrix, Matrix]]
     use_correction: bool
     steps_since_merge: int = 0
     total_steps: int = 0
@@ -335,7 +335,7 @@ class WorkerState:
 class UpdateRecord:
     """What one merge added to the base weights: delta[layer] is the applied
     increment, worker_deltas[worker][layer] the per-worker contribution
-    s * (B_n A_n - V_n); delta is their mean in head-index order."""
+    s * (B_n A_n - B°_n A°_n); delta is their mean in head-index order."""
 
     merge_id: int
     step: int
@@ -387,7 +387,7 @@ def local_step(worker: WorkerState, net: Network, batch: Batch) -> float:
     """One optimizer step on the worker's own head through its local view.
 
     Base weights and other heads are untouched; in exact-correction mode the
-    stale products V are subtracted inside the forward pass.
+    stale corrections B° A° are subtracted inside the forward pass.
     """
     h = worker.head_index
     corr = worker.corrections if worker.use_correction else None
@@ -442,10 +442,10 @@ def merge(
         A, B = layer.factors(heads)
         contribs = B @ A  # the products, turned into contributions in place
         if policy.exact_correction:
-            for w, c in zip(workers, contribs):
-                stale = w.corrections[li].copy()
-                w.corrections[li][...] = c
-                c -= stale
+            for w, c, a, b in zip(workers, contribs, A, B):
+                a0, b0 = w.corrections[li]
+                c -= b0 @ a0
+                a0[...], b0[...] = a, b
         contribs *= layer.s
         for wd, contrib in zip(worker_deltas, contribs):
             wd.append(contrib)
@@ -493,7 +493,7 @@ def _make_stream(cfg: RunConfig, task: LeastSquaresTask, root: RandomSource, k: 
 
 def _effective_weights(net: Network, workers: Sequence[WorkerState] = ()) -> list[Matrix]:
     """Per-layer effective weight of the current global model, with the
-    workers' stale products subtracted in exact mode."""
+    workers' stale corrections subtracted in exact mode."""
     return [
         effective_weight(layer, [w.corrections[li] for w in workers if w.use_correction])
         for li, layer in enumerate(net.layers)
@@ -538,18 +538,18 @@ def _lte_step(
     cfg: RunConfig, net: Network, stream, batch: int
 ) -> tuple[Step, list[WorkerState]]:
     """One worker per head, worker j training on slice j of the stream; a
-    step is one batched local step of all N workers, with their stale
-    products V as one (N, m, n) stack per layer and their optimizer moments
-    as (N, ...) stacks in the one optimizer they share."""
+    step is one batched local step of all N workers, with their (A°, B°)
+    and their optimizer moments as (N, ...) stacks, the moments in the one
+    optimizer they share."""
     opt = KeyedOptimizer(cfg.optimizer, cfg.optim)
     heads = range(cfg.n_heads)
-    stale = [np.zeros((len(heads), layer.m, layer.n)) for layer in net.layers]
+    stale = [(np.zeros_like(layer.A), np.zeros_like(layer.B)) for layer in net.layers]
     workers = [
         WorkerState(
             head_index=i,
             stream=None,
             opt=opt,
-            corrections=[v[i] for v in stale],
+            corrections=[(a[i], b[i]) for a, b in stale],
             use_correction=cfg.policy.exact_correction,
         )
         for i in heads

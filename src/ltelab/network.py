@@ -4,10 +4,10 @@ Columns are samples: a batch of b inputs is an (n x b) matrix and losses
 average over the batch, so gradients match the per-sample formulas divided
 by b. Every layer computes
 
-  W x + sum over active terms of  c * (B_h A_h - V) x
+  W x + sum over active terms of  c * B (A x)
 
 and a training regime is nothing more than its choice of terms, one
-(head index h, coefficient c, stale product V) triple per active head:
+(head key h, coefficient c, A, B) per active head:
 
   full    -- no terms (standard training; W receives gradients)
   single  -- head h at coefficient s (plain single-adapter training)
@@ -15,11 +15,11 @@ and a training regime is nothing more than its choice of terms, one
              given an (N, n, b) stack of N shards, every slice runs the
              full multi-head view, the loss is the vector of N per-shard
              losses and head j's gradient comes from slice j only
-  worker  -- head h at coefficient s/N, optionally with a per-layer
-             stale-product correction V (one worker's local view); given a
-             range of k heads, k workers' views at once: inputs, outputs,
-             targets and corrections carry a leading axis of length k, and
-             every product is one batched matmul
+  worker  -- head h at coefficient s/N, plus optionally the untrained term
+             (None, -s/N, A°, B°) of the head's factors at the last merge
+             (one worker's local view); given a range of k heads, k workers'
+             views at once: every array carries a leading axis of length k,
+             and every product is one batched matmul
 
 `Mode.terms` is the only place a coefficient is chosen; the forward pass,
 the input gradient, the head gradients, the finite-difference probe and
@@ -39,10 +39,10 @@ ACTIVATIONS = ("identity", "relu")
 LOSSES = ("mse", "softmax_ce")
 MODE_KINDS = ("full", "single", "multi", "worker")
 
-# (head index h, coefficient c, stale product V or None): the layer adds
-# c * (B_h A_h - V) to its base weight. In batched worker mode h is a range of
-# k heads and V a (k, m, n) stack.
-Term = tuple[int | range, float, Matrix | None]
+# (head key h, coefficient c, A, B): the layer adds c * B A to its base
+# weight. h is a head index, a range of k heads (A and B then (k, ...)
+# stacks), or None for a stale correction, which trains nothing.
+Term = tuple[int | range | None, float, Matrix, Matrix]
 
 
 @dataclass(frozen=True)
@@ -83,20 +83,18 @@ class Mode:
         head.start + j)."""
         return cls("worker", head)
 
-    def terms(self, layer: LoraLinear, correction: Matrix | None = None) -> list[Term]:
-        """The layer's active terms; heads with coefficient zero are left out.
-
-        Only worker mode carries a correction (`forward` rejects one in any
-        other mode).
-        """
+    def terms(self, layer: LoraLinear, correction: tuple[Matrix, Matrix] | None = None
+              ) -> list[Term]:
+        """The layer's active terms, factors resolved; heads with coefficient
+        zero are left out. Only worker mode carries a correction, the pair
+        (A°, B°), as the term (None, -c, A°, B°) (`forward` rejects one in
+        any other mode)."""
         if self.kind == "full":
             return []
-        if self.kind == "single":
-            return [(self.head, layer.s, None)]
-        c = layer.s / layer.num_heads
-        if self.kind == "multi":
-            return [(h, c, None) for h in range(layer.num_heads)]
-        return [(self.head, c, correction)]
+        c = layer.s if self.kind == "single" else layer.s / layer.num_heads
+        heads = range(layer.num_heads) if self.kind == "multi" else [self.head]
+        stale = [] if self.kind != "worker" or correction is None else [(None, -c, *correction)]
+        return [(h, c, *layer.factors(h)) for h in heads] + stale
 
 
 @dataclass
@@ -152,13 +150,22 @@ class Network:
         return self.layers[-1].m
 
 
-def _check_corrections(net: Network, corrections, mode: Mode) -> list[Matrix | None]:
+def _check_corrections(net: Network, corrections, mode: Mode) -> list[tuple | None]:
     if corrections is None:
         return [None] * len(net.layers)
     if mode.kind != "worker" and any(v is not None for v in corrections):
         raise ValueError(f"corrections apply only in worker mode, not in mode {mode.kind!r}")
     if len(corrections) != len(net.layers):
         raise ValueError("need one correction entry (or None) per layer")
+    for li, (layer, corr) in enumerate(zip(net.layers, corrections)):
+        if corr is None:
+            continue
+        want = tuple(f.shape for f in layer.factors(mode.head))
+        got = (tuple(np.shape(f) for f in corr) if isinstance(corr, tuple)
+               else f"{type(corr).__name__} {getattr(corr, 'shape', '')}")
+        if got != want:
+            raise ValueError(f"layer {li}: a correction is the factor pair (A°, B°) of shapes "
+                             f"{want}, got {got}")
     return list(corrections)
 
 
@@ -174,34 +181,23 @@ def _t(a: Matrix) -> Matrix:
 
 def _layer_forward(layer: LoraLinear, x: Matrix, terms: list[Term]) -> Matrix:
     out = layer.W @ x
-    for h, c, v in terms:
-        A, B = layer.factors(h)
+    for _, c, A, B in terms:
         out = out + c * (B @ (A @ x))
-        if v is not None:
-            out = out - c * (v @ x)
     return out
 
 
 def effective_weight(layer: LoraLinear, corrections=None) -> Matrix:
-    """W + (s/N) * (sum_n B_n A_n - sum_n V_n), the weight the multi-head
-    view realizes once each head's stale product V_n is subtracted.
-
-    corrections holds the V_n (None: no stale products). The heads are
-    summed first, then the corrections, then scaled once, in that order.
-    """
+    """W + (s/N) * (sum_n B_n A_n - sum_n B°_n A°_n), the weight the
+    multi-head view realizes once the stale corrections, the (A°_n, B°_n)
+    pairs in `corrections` (None: none), are subtracted: one GEMM of the
+    concatenated factors, [B | -B°] [A ; A°]."""
     if not layer.num_heads:
         return layer.W.copy()
-    terms = Mode.multi().terms(layer)
-    # one product at a time: a summed (N, m, n) stack of the products costs
-    # more than the N matmul calls once the stack outgrows the cache
-    acc = np.zeros_like(layer.W)
-    for h, _, _ in terms:
-        A, B = layer.factors(h)
-        acc += B @ A
-    if corrections is not None:
-        for v in corrections:
-            acc -= v
-    return layer.W + terms[0][1] * acc  # the multi-head terms share s/N
+    pairs = corrections or ()
+    A = np.concatenate([layer.A.reshape(-1, layer.n), *(a for a, _ in pairs)])
+    B = np.concatenate([layer.B.transpose(1, 0, 2).reshape(layer.m, -1), *(-b for _, b in pairs)],
+                       axis=1)
+    return layer.W + layer.s / layer.num_heads * (B @ A)
 
 
 def forward(
@@ -209,12 +205,14 @@ def forward(
 ) -> tuple[Matrix, list[dict]]:
     """Run the network; returns the output and per-layer cached intermediates.
 
-    corrections holds one stale product (or None) per layer; only worker
-    mode takes them, and any other mode raises ValueError when given one.
-    A range of worker heads takes a (k, n, b) input stack and (k, m, n)
-    correction stacks; multi mode takes an (N, n, b) stack of one shard per
-    head. The cache holds each layer's input, pre-activation output and
-    resolved terms, which is exactly what the backward pass needs.
+    corrections holds one stale correction (or None) per layer: the factor
+    pair (A°, B°), shaped like the worker's head factors A and B. Only
+    worker mode takes them; any other mode, or a correction of other shapes,
+    raises ValueError. A range of k worker heads takes a (k, n, b) input
+    stack and (k, r, n), (k, m, r) correction stacks; multi mode takes an
+    (N, n, b) stack of one shard per head. The cache holds each layer's
+    input, pre-activation output and resolved terms, which is exactly what
+    the backward pass needs.
     """
     x = as_matrix(inputs, "network inputs", stacked=np.ndim(inputs) == 3)
     return _forward(net, x, mode, corrections)
@@ -310,9 +308,10 @@ def loss_and_grad(
         if include_base:
             g.dW = u @ _t(x)
         # slice j of a shard stack trains head j only: one stacked entry
-        head_terms = [(range(layer.num_heads), terms[0][1], None)] if sharded else terms
-        for h, c, _ in head_terms:
-            A, B = layer.factors(h)
+        head_terms = [(range(layer.num_heads), terms[0][1], layer.A, layer.B)] if sharded else terms
+        for h, c, A, B in head_terms:
+            if h is None:  # a stale correction trains nothing
+                continue
             g.dB[h] = c * (u @ _t(A @ x))
             g.dA[h] = c * ((_t(B) @ u) @ _t(x))
         if i > 0:
@@ -322,11 +321,8 @@ def loss_and_grad(
 
 def _input_grad(layer: LoraLinear, terms: list[Term], u: Matrix) -> Matrix:
     dx = layer.W.T @ u
-    for h, c, v in terms:
-        A, B = layer.factors(h)
+    for _, c, A, B in terms:
         dx = dx + c * (_t(A) @ (_t(B) @ u))
-        if v is not None:
-            dx = dx - c * (_t(v) @ u)
     return dx
 
 
@@ -336,8 +332,7 @@ def _trainable_slots(net: Network, mode: Mode, include_base: bool):
     for i, layer in enumerate(net.layers):
         if include_base:
             slots.append((i, "W", None, layer.W))
-        for h, _, _ in mode.terms(layer):
-            A, B = layer.factors(h)
+        for h, _, A, B in mode.terms(layer):
             slots.append((i, "A", h, A))
             slots.append((i, "B", h, B))
     return slots

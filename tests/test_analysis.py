@@ -69,7 +69,7 @@ class TestGrassmanDistance:
     def test_identical_subspaces(self):
         rng = np.random.default_rng(2)
         p = rng.standard_normal((6, 3))
-        assert grassman_distance(p, 2.0 * p, 3) <= 1e-10
+        assert grassman_distance(p, 2.0 * p, 3) <= 1e-12
 
     def test_orthogonal_lines(self):
         e1 = np.array([[1.0], [0.0]])
@@ -81,6 +81,16 @@ class TestGrassmanDistance:
         e1 = np.array([[1.0], [0.0]])
         rot = np.array([[math.cos(theta)], [math.sin(theta)]])
         assert abs(grassman_distance(e1, rot, 1) - theta) <= 1e-9
+
+    def test_two_distinct_angles(self):
+        # angles a < b between e1, e2 and their rotations toward e3, e4: each
+        # cosine must meet the sine of the same angle
+        a, b = math.pi / 9, math.pi / 3
+        eye = np.eye(4)
+        u = eye[:, :2]
+        v = np.column_stack([math.cos(a) * eye[:, 0] + math.sin(a) * eye[:, 2],
+                             math.cos(b) * eye[:, 1] + math.sin(b) * eye[:, 3]])
+        assert abs(grassman_distance(u, v, 2) - math.hypot(a, b)) <= 1e-12
 
     def test_symmetry(self):
         rng = np.random.default_rng(3)
@@ -118,8 +128,8 @@ class TestHeadAlignment:
         layer = layer_with_heads([(a, b), (a.copy(), b.copy())])
         rep = head_alignment(layer)
         assert abs(rep.cosine[0, 1] - 1.0) <= 1e-12
-        assert rep.grassman[0, 1] <= 1e-7
-        assert rep.mean_grassman_pairs <= 1e-7
+        assert rep.grassman[0, 1] <= 1e-12
+        assert rep.mean_grassman_pairs <= 1e-12
 
     def test_disjoint_support_orthogonal(self):
         a1 = np.zeros((1, 4)); a1[0, 0] = 1.0
@@ -239,11 +249,11 @@ def assert_reports_agree(rep, oracle, atol=1e-12):
 
 @st.composite
 def alignment_shapes(draw, max_dim=12):
-    """(m, n, r, N, seed) with m != n and r < m: at r = m every head spans all
-    of R^m, and every Grassman entry is arccos-amplified rounding."""
+    """(m, n, r, N, seed) with m != n; r = m is drawn too, where every head
+    spans all of R^m and every Grassman entry is zero up to rounding."""
     m = draw(st.integers(2, max_dim))
     n = draw(st.integers(1, max_dim).filter(lambda v: v != m))
-    r = draw(st.integers(1, min(m - 1, n)))
+    r = draw(st.integers(1, min(m, n)))
     return m, n, r, draw(st.integers(2, 5)), draw(st.integers(0, 2**32 - 1))
 
 

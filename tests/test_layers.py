@@ -18,6 +18,11 @@ def random_layer(rng, m=5, n=4, r=2, n_heads=3, alpha=None, zero_b=False):
     return LoraLinear(W=w, alpha=float(alpha if alpha is not None else r), heads=heads)
 
 
+def stale_pair(rng, m, n, r):
+    """A random stale correction (A°, B°) for an m x n layer of rank r."""
+    return rng.child("A°").standard_normal((r, n)), rng.child("B°").standard_normal((m, r))
+
+
 def layer_out(layer, x, mode, correction=None):
     """One layer's output under `mode`, through the network forward pass."""
     out, _ = forward(Network([layer]), x, mode, None if correction is None else [correction])
@@ -121,10 +126,11 @@ class TestForwards:
     def test_worker_view_correction(self):
         layer = random_layer(RandomSource(12), n_heads=2)
         x = RandomSource(13).standard_normal((4, 3))
-        v = RandomSource(14).standard_normal((5, 4))
+        a0, b0 = stale_pair(RandomSource(14), m=5, n=4, r=2)
         c = layer.s / 2
-        expected = layer_out(layer, x, Mode.worker(0)) - c * (v @ x)
-        np.testing.assert_allclose(layer_out(layer, x, Mode.worker(0), correction=v), expected, atol=1e-14)
+        expected = layer_out(layer, x, Mode.worker(0)) - c * ((b0 @ a0) @ x)
+        out = layer_out(layer, x, Mode.worker(0), correction=(a0, b0))
+        np.testing.assert_allclose(out, expected, atol=1e-14)
 
     def test_shape_errors(self):
         layer = random_layer(RandomSource(15))
@@ -144,8 +150,9 @@ class TestEffectiveWeight:
         ]
         layer = LoraLinear(W=np.zeros((1, 1)), alpha=1.0, heads=heads)
         np.testing.assert_array_equal(effective_weight(layer), [[2.0]])
-        # stale products come off before the shared s/N scale
-        np.testing.assert_array_equal(effective_weight(layer, [[[1.0]], [[2.0]]]), [[0.5]])
+        # stale corrections B° A° = 1 and 2 come off before the shared s/N scale
+        stale = [(np.array([[1.0]]), np.array([[1.0]])), (np.array([[2.0]]), np.array([[1.0]]))]
+        np.testing.assert_array_equal(effective_weight(layer, stale), [[0.5]])
 
     def test_forward_consistency(self):
         layer = random_layer(RandomSource(17), n_heads=3)
@@ -263,14 +270,14 @@ class TestProperties:
         np.testing.assert_allclose(
             layer_out(layer, x, Mode.multi()), effective_weight(layer) @ x, rtol=1e-10, atol=1e-10
         )
-        # with stale products V_n, the corrected worker shares sum to the
-        # corrected effective weight
-        vs = [rng.child("V", h).standard_normal((m, n)) for h in range(n_heads)]
+        # with stale corrections (A°_n, B°_n), the corrected worker shares sum
+        # to the corrected effective weight
+        stale = [stale_pair(rng.child("stale", h), m, n, r) for h in range(n_heads)]
         base = layer.W @ x
         acc = base.copy()
         for h in range(n_heads):
-            acc += layer_out(layer, x, Mode.worker(h), correction=vs[h]) - base
-        np.testing.assert_allclose(acc, effective_weight(layer, vs) @ x, rtol=1e-10, atol=1e-10)
+            acc += layer_out(layer, x, Mode.worker(h), correction=stale[h]) - base
+        np.testing.assert_allclose(acc, effective_weight(layer, stale) @ x, rtol=1e-10, atol=1e-10)
 
     @PROPERTY_SETTINGS
     @given(layer_shapes(max_heads=1))
@@ -304,8 +311,10 @@ class TestProperties:
             inputs=rng.child("x").standard_normal((n, 3)),
             targets=rng.child("y").standard_normal((m, 3)),
         )
-        corr = [rng.child("V", i).standard_normal(layer.W.shape) / np.sqrt(layer.n)
-                for i, layer in enumerate(layers)]
+        corr = []
+        for i, layer in enumerate(layers):
+            a0, b0 = stale_pair(rng.child("stale", i), layer.m, layer.n, r)
+            corr.append((a0 / np.sqrt(layer.n), 0.5 * b0))
         modes = ((Mode.full(), None), (Mode.single(head), None), (Mode.multi(), None),
                  (Mode.worker(head), None), (Mode.worker(head), corr))
         # keep the hidden pre-activations away from the ReLU kink in every mode

@@ -49,7 +49,7 @@ def tiny_setup(n_heads=2, m=4, n=4, r=2, alpha=None, exact=False, seed=0, optimi
             head_index=i,
             stream=None,
             opt=KeyedOptimizer(optimizer, OptimConfig(eta=eta)),
-            corrections=[np.zeros((m, n))],
+            corrections=[(np.zeros((r, n)), np.zeros((m, r)))],
             use_correction=exact,
         )
         for i in range(n_heads)
@@ -133,10 +133,10 @@ def batched_cases(draw):
 
 
 def _batched_setup(case, shared_opt=False):
-    """Network, workers and per-layer (N, m, n) stale-product stacks that the
-    workers' corrections are views on, as run_lte builds them; with
-    shared_opt every worker holds the same optimizer, as in run_lte, else
-    each worker has its own."""
+    """Network, workers and per-layer (A°, B°) stale-correction stacks, shaped
+    like the head stacks, that the workers' corrections are views on, as
+    run_lte builds them; with shared_opt every worker holds the same
+    optimizer, as in run_lte, else each worker has its own."""
     rng = RandomSource(case["seed"])
     n_heads, r, dims = case["n_heads"], case["r"], case["dims"]
     layers = []
@@ -150,13 +150,14 @@ def _batched_setup(case, shared_opt=False):
                                  alpha=1.5 * r, heads=heads))
     acts = ["relu" if case["relu"] else "identity"] * (len(layers) - 1) + ["identity"]
     net = Network(layers, activations=acts)
-    stale = [rng.child("V", li).standard_normal((n_heads, layer.m, layer.n))
-             * (0.5 / np.sqrt(layer.n)) for li, layer in enumerate(layers)]
+    stale = [(rng.child("A°", li).standard_normal(layer.A.shape) / np.sqrt(layer.n),
+              rng.child("B°", li).standard_normal(layer.B.shape) * 0.5)
+             for li, layer in enumerate(layers)]
     shared = KeyedOptimizer(case["optimizer"], OptimConfig(eta=0.05))
     workers = [
         WorkerState(head_index=i, stream=None,
                     opt=shared if shared_opt else KeyedOptimizer(case["optimizer"], shared.cfg),
-                    corrections=[v[i] for v in stale], use_correction=case["exact"])
+                    corrections=[(a[i], b[i]) for a, b in stale], use_correction=case["exact"])
         for i in range(n_heads)
     ]
     return net, workers, stale
@@ -215,8 +216,8 @@ class TestBatchedStep:
         for la, lb in zip(net_a.layers, net_b.layers):
             for arr_a, arr_b in ((la.W, lb.W), (la.A, lb.A), (la.B, lb.B)):
                 assert arr_a.tobytes() == arr_b.tobytes()
-        for va, vb in zip(stale_a, stale_b):
-            assert va.tobytes() == vb.tobytes()
+        for (a_a, b_a), (a_b, b_b) in zip(stale_a, stale_b):
+            assert a_a.tobytes() == a_b.tobytes() and b_a.tobytes() == b_b.tobytes()
         assert moments_a == moments_b
 
 
@@ -261,8 +262,11 @@ class TestMerge:
             h.B = rng.child("bx").standard_normal(h.B.shape)
         products = [h.B @ h.A for h in net.layers[0].heads]
         rec = merge(net, workers, exact_policy())
-        for w, prod in zip(workers, products):
-            np.testing.assert_array_equal(w.corrections[0], prod)
+        for w, h, prod in zip(workers, net.layers[0].heads, products):
+            a0, b0 = w.corrections[0]
+            np.testing.assert_array_equal(a0, h.A)
+            np.testing.assert_array_equal(b0, h.B)
+            np.testing.assert_array_equal(b0 @ a0, prod)
         # second merge with unchanged params adds nothing
         w_before = net.layers[0].W.copy()
         merge(net, workers, exact_policy(), merge_id=2)
@@ -327,14 +331,17 @@ class TestMerge:
         assert not opt.states
 
     def test_stacked_and_separate_corrections_merge_alike(self):
-        # the runner's V are views on one (N, m, n) stack, tiny_setup's are
-        # independent arrays; two exact merges read and refresh both alike
+        # the runner's (A°, B°) are views on stacks shaped like the head
+        # stacks, tiny_setup's are independent arrays; two exact merges read
+        # and refresh both alike
         runs = []
         for stacked in (True, False):
             net, _, workers, rng = tiny_setup(n_heads=3, exact=True)
-            stale = rng.child("V").standard_normal((3, 4, 4))
+            stale = (rng.child("A°").standard_normal((3, 2, 4)),
+                     rng.child("B°").standard_normal((3, 4, 2)))
             for w in workers:
-                w.corrections = [stale[w.head_index] if stacked else stale[w.head_index].copy()]
+                pair = tuple(f[w.head_index] for f in stale)
+                w.corrections = [pair if stacked else tuple(f.copy() for f in pair)]
             records = []
             for merge_id in (1, 2):
                 for hi, h in enumerate(net.layers[0].heads):
@@ -342,16 +349,85 @@ class TestMerge:
                 records.append(merge(net, workers, exact_policy(), merge_id=merge_id))
             runs.append((net.layers[0].W, records, [w.corrections[0] for w in workers]))
             if stacked:
-                assert all(np.shares_memory(w.corrections[0], stale) for w in workers)
-                np.testing.assert_array_equal(stale, np.stack(runs[-1][2]))
+                for f, stack in enumerate(stale):
+                    assert all(np.shares_memory(w.corrections[0][f], stack) for w in workers)
+                    np.testing.assert_array_equal(stack, np.stack([p[f] for p in runs[-1][2]]))
         (w_a, rec_a, v_a), (w_b, rec_b, v_b) = runs
         assert w_a.tobytes() == w_b.tobytes()
         for ra, rb in zip(rec_a, rec_b):
             assert ra.delta[0].tobytes() == rb.delta[0].tobytes()
             for da, db in zip(ra.worker_deltas, rb.worker_deltas):
                 assert da[0].tobytes() == db[0].tobytes()
-        for va, vb in zip(v_a, v_b):
-            assert va.tobytes() == vb.tobytes()
+        for (a_a, b_a), (a_b, b_b) in zip(v_a, v_b):
+            assert a_a.tobytes() == a_b.tobytes() and b_a.tobytes() == b_b.tobytes()
+
+
+@st.composite
+def correction_cases(draw, max_dim=10):
+    """(m, n, r, N, workers, seed) with m != n and workers a nonempty run of
+    the N heads."""
+    m = draw(st.integers(1, max_dim))
+    n = draw(st.integers(1, max_dim).filter(lambda v: v != m))
+    r = draw(st.integers(1, min(m, n)))
+    n_heads = draw(st.integers(1, 5))
+    start = draw(st.integers(0, n_heads - 1))
+    workers = range(start, draw(st.integers(start + 1, n_heads)))
+    return m, n, r, n_heads, workers, draw(st.integers(0, 2**32 - 1))
+
+
+def gaussian_net(m, n, r, n_heads, seed):
+    """A one-layer network with Gaussian W and heads, and Gaussian (A°, B°)
+    stacks shaped like its head stacks."""
+    rng = RandomSource(seed)
+    heads = [LoraHead(A=rng.child("A", i).standard_normal((r, n)),
+                      B=rng.child("B", i).standard_normal((m, r))) for i in range(n_heads)]
+    layer = LoraLinear(W=rng.child("W").standard_normal((m, n)), alpha=1.5 * r, heads=heads)
+    stale = (rng.child("A°").standard_normal(layer.A.shape),
+             rng.child("B°").standard_normal(layer.B.shape))
+    return Network([layer]), stale, rng
+
+
+class TestFactorCorrections:
+    """Stale corrections kept as factor pairs (A°, B°) against their dense
+    definition, the stale product B° A°."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(correction_cases())
+    def test_batched_forward_matches_dense_reference(self, case):
+        m, n, r, n_heads, workers, seed = case
+        net, (a0, b0), rng = gaussian_net(m, n, r, n_heads, seed)
+        layer = net.layers[0]
+        c = layer.s / n_heads
+        x = rng.child("x").standard_normal((len(workers), n, 3))
+        span = slice(workers.start, workers.stop)
+        out, _ = forward(net, x, Mode.worker(workers), [(a0[span], b0[span])])
+        for j, h in enumerate(workers):
+            dense = layer.W + c * (layer.B[h] @ layer.A[h] - b0[h] @ a0[h])
+            np.testing.assert_allclose(out[j], dense @ x[j], rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(correction_cases())
+    def test_exact_merge_invariants(self, case):
+        # the merge moves the stale shares into W: the effective weight holds,
+        # every (A°, B°) becomes its head, and delta is the dense formula
+        m, n, r, n_heads, _, seed = case
+        net, stale, _ = gaussian_net(m, n, r, n_heads, seed)
+        layer = net.layers[0]
+        workers = [
+            WorkerState(head_index=i, stream=None, opt=KeyedOptimizer("sgd", OptimConfig(eta=0.1)),
+                        corrections=[(stale[0][i], stale[1][i])], use_correction=True)
+            for i in range(n_heads)
+        ]
+        a0, b0 = stale[0].copy(), stale[1].copy()
+        dense = sum(layer.B[h] @ layer.A[h] - b0[h] @ a0[h] for h in range(n_heads))
+        before = lte._effective_weights(net, workers)[0]
+        rec = merge(net, workers, exact_policy())
+        np.testing.assert_allclose(lte._effective_weights(net, workers)[0], before, rtol=0,
+                                   atol=1e-12)
+        for h, w in enumerate(workers):
+            a, b = w.corrections[0]
+            assert a.tobytes() == layer.A[h].tobytes() and b.tobytes() == layer.B[h].tobytes()
+        np.testing.assert_allclose(rec.delta[0], layer.s / n_heads * dense, rtol=0, atol=1e-12)
 
 
 @st.composite

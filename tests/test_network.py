@@ -35,13 +35,14 @@ class TestForward:
         (a0, b0), (a1, b1) = [(h.A, h.B) for h in layer.heads]
         s = layer.s
         x = RandomSource(1).standard_normal((4, 3))
-        v = RandomSource(2).standard_normal((5, 4))
+        ao = RandomSource(2).child("A°").standard_normal((2, 4))
+        bo = RandomSource(2).child("B°").standard_normal((5, 2))
         cases = [
             (Mode.full(), None, layer.W @ x),
             (Mode.single(1), None, layer.W @ x + s * b1 @ a1 @ x),
             (Mode.multi(), None, layer.W @ x + s / 2 * (b0 @ a0 + b1 @ a1) @ x),
             (Mode.worker(0), None, layer.W @ x + s / 2 * b0 @ a0 @ x),
-            (Mode.worker(0), [v], layer.W @ x + s / 2 * (b0 @ a0 - v) @ x),
+            (Mode.worker(0), [(ao, bo)], layer.W @ x + s / 2 * (b0 @ a0 - bo @ ao) @ x),
         ]
         for mode, corr, expected in cases:
             out, _ = forward(net, x, mode, corr)
@@ -106,21 +107,39 @@ class TestForward:
             fd_check(net, batch, mode, corrections=corr)
         forward(net, batch.inputs, mode, [None, None])  # no correction given
 
+    @pytest.mark.parametrize("bad", ["dense", "swapped", "triple"])
+    def test_malformed_correction_rejected(self, bad):
+        # a correction is the pair (A°, B°) shaped like the head's factors;
+        # anything else, a dense m x n stale product included, fails up front
+        # with the layer named, not inside a matmul
+        net = random_net(RandomSource(14), dims=(4, 5, 3))
+        batch = mse_batch(RandomSource(15), net)
+        a, b = net.layers[1].factors(0)
+        corr = {"dense": b @ a, "swapped": (b, a), "triple": (a, b, a)}[bad]
+        corrections = [None, corr]
+        with pytest.raises(ValueError, match="layer 1: a correction is the factor pair"):
+            forward(net, batch.inputs, Mode.worker(0), corrections)
+        with pytest.raises(ValueError, match="layer 1: a correction is the factor pair"):
+            loss_and_grad(net, batch, Mode.worker(0), corrections)
+        with pytest.raises(ValueError, match="layer 1: a correction is the factor pair"):
+            fd_check(net, batch, Mode.worker(0), corrections=corrections)
+
     def test_worker_range_is_stacked_worker_views(self):
         # k workers at once: slice j is worker start + j's own view, with its
-        # own stale products, bitwise
+        # own stale corrections, bitwise
         net = random_net(RandomSource(11), dims=(4, 5, 3), n_heads=4, activation="relu")
         rng = RandomSource(12)
         heads = range(1, 4)
         x = rng.child("x").standard_normal((3, 4, 2))
         y = rng.child("y").standard_normal((3, 3, 2))
-        corr = [rng.child("v", li).standard_normal((3,) + layer.W.shape)
+        corr = [(rng.child("A°", li).standard_normal((3,) + layer.A.shape[1:]),
+                 rng.child("B°", li).standard_normal((3,) + layer.B.shape[1:]))
                 for li, layer in enumerate(net.layers)]
         out, _ = forward(net, x, Mode.worker(heads), corr)
         losses, grads = loss_and_grad(net, Batch(inputs=x, targets=y), Mode.worker(heads), corr)
         assert out.shape == (3, 3, 2) and losses.shape == (3,)
         for j, h in enumerate(heads):
-            corr_j = [v[j] for v in corr]
+            corr_j = [(a[j], b[j]) for a, b in corr]
             out_j, _ = forward(net, x[j], Mode.worker(h), corr_j)
             loss_j, grads_j = loss_and_grad(net, Batch(inputs=x[j], targets=y[j]),
                                             Mode.worker(h), corr_j)
@@ -145,15 +164,18 @@ class TestForward:
 
 class TestModeTerms:
     def test_terms_table(self):
+        # terms are (head key, coefficient, A, B); the factors are the layer's
+        # cached head views, so the comparisons below match them by identity
         layer = random_net(RandomSource(30), n_heads=4).layers[0]
-        v = np.ones_like(layer.W)
+        stale = (np.ones_like(layer.A[3]), np.ones_like(layer.B[3]))
         c = layer.s / 4
-        assert Mode.full().terms(layer, v) == []
-        assert Mode.single(2).terms(layer, v) == [(2, layer.s, None)]
-        assert Mode.multi().terms(layer, v) == [(h, c, None) for h in range(4)]
-        assert Mode.worker(3).terms(layer) == [(3, c, None)]
-        [(h, coef, corr)] = Mode.worker(3).terms(layer, v)
-        assert (h, coef) == (3, c) and corr is v
+        assert Mode.full().terms(layer, stale) == []
+        assert Mode.single(2).terms(layer, stale) == [(2, layer.s, *layer.factors(2))]
+        assert Mode.multi().terms(layer, stale) == [(h, c, *layer.factors(h)) for h in range(4)]
+        assert Mode.worker(3).terms(layer) == [(3, c, *layer.factors(3))]
+        [head, (h, coef, a0, b0)] = Mode.worker(3).terms(layer, stale)
+        assert head == (3, c, *layer.factors(3))
+        assert (h, coef) == (None, -c) and a0 is stale[0] and b0 is stale[1]
 
     def test_worker_reads_only_its_head(self):
         # heads outside the mode's terms are never touched: poisoning them
@@ -293,7 +315,9 @@ class TestGradients:
     def test_worker_mode_with_corrections(self):
         net = random_net(RandomSource(19), dims=(4, 5, 3))
         rng = RandomSource(20)
-        corr = [rng.child("v", i).standard_normal(layer.W.shape) for i, layer in enumerate(net.layers)]
+        corr = [(rng.child("A°", i).standard_normal(layer.A[0].shape),
+                 rng.child("B°", i).standard_normal(layer.B[0].shape))
+                for i, layer in enumerate(net.layers)]
         batch = Batch(
             inputs=rng.child("x").standard_normal((4, 3)),
             targets=rng.child("y").standard_normal((3, 3)),
