@@ -20,7 +20,9 @@ on one Batch, whose slice j the run's one stream draws from worker j's own
 Philox stream or pool shard. Every head update (one worker's `local_step`,
 the lte step, the joint multi-head step) is one `loss_and_grad` call and one
 update of the layers' stacked heads under one optimizer, whose moments are
-stacked alike; merges take every head's product from the stacks at once.
+stacked alike. A merge adds to W the increment `head_increment` takes from
+the head stacks in one GEMM (two in exact mode), and its record keeps
+copies of those stacks, not the dense m x n increment.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from . import __version__ as _code_version
 from .analysis import AlignmentReport, effective_rank, head_alignment
 from .data import LeastSquaresTask, gen_least_squares
 from .layers import LoraHead, LoraLinear
-from .network import ACTIVATIONS, LOSSES, Batch, Mode, Network, effective_weight, loss_and_grad
+from .network import (ACTIVATIONS, LOSSES, Batch, Mode, Network, correction_mismatch,
+                      effective_weight, head_increment, loss_and_grad)
 from .numerics import INIT_KINDS, InitScheme, Matrix, RandomSource, init_matrix
 from .optim import AdamState, OptimConfig, adamw_step, sgd_step
 
@@ -333,14 +336,24 @@ class WorkerState:
 
 @dataclass
 class UpdateRecord:
-    """What one merge added to the base weights: delta[layer] is the applied
-    increment, worker_deltas[worker][layer] the per-worker contribution
-    s * (B_n A_n - B°_n A°_n); delta is their mean in head-index order."""
+    """What one merge added to the base weights, kept as factors: per layer
+    the coefficient c = s/N, copies of the merged head stacks (A, B), and in
+    exact mode copies of the stale stacks (A°, B°) the merge subtracted
+    (None otherwise). delta[layer] recomputes the dense increment
+    c (B A - B° A°) with `head_increment`, bitwise what the merge added to
+    W. Worker n's contribution, s (B_n A_n - B°_n A°_n), comes from slice n
+    of each stack."""
 
     merge_id: int
     step: int
-    delta: list[Matrix]
-    worker_deltas: list[list[Matrix]]
+    coefs: list[float]
+    factors: list[tuple[Matrix, Matrix]]
+    stale: list[tuple[Matrix, Matrix] | None]
+
+    @property
+    def delta(self) -> list[Matrix]:
+        return [head_increment(c, A, B, stale)
+                for c, (A, B), stale in zip(self.coefs, self.factors, self.stale)]
 
 
 @dataclass
@@ -423,8 +436,12 @@ def merge(
 ) -> UpdateRecord:
     """Fold every worker's head into the base weights, then apply resets.
 
-    All workers must have taken the same number of local steps. Heads are
-    summed in index order so the result is independent of worker scheduling.
+    W takes `head_increment` of the heads (minus, in exact mode, the stale
+    factors, which are then refreshed from the heads), so it becomes bitwise
+    the effective weight from before the merge. Equal step counts and, in
+    exact mode, every correction's shapes are checked before anything is
+    written. Heads are summed in index order, so the result is independent
+    of worker scheduling.
     """
     counts = {w.steps_since_merge for w in workers}
     if len(counts) != 1:
@@ -434,24 +451,32 @@ def merge(
         raise ValueError("workers must be ordered by head index and cover every head")
     if policy.reset_A and (init is None or rng is None):
         raise ValueError("reset_A needs an init scheme and a random source")
+    if policy.exact_correction:
+        for w in workers:
+            if len(w.corrections) != len(net.layers):
+                raise ValueError(f"worker {w.head_index}: need one correction per layer, "
+                                 f"got {len(w.corrections)}")
+            for li, layer in enumerate(net.layers):
+                problem = correction_mismatch(layer, w.corrections[li], w.head_index)
+                if problem:
+                    raise ValueError(f"worker {w.head_index}, layer {li}: {problem}")
 
     heads = range(len(workers))
-    deltas: list[Matrix] = []
-    worker_deltas: list[list[Matrix]] = [[] for _ in workers]
+    coefs, factors, stales = [], [], []
     for li, layer in enumerate(net.layers):
         A, B = layer.factors(heads)
-        contribs = B @ A  # the products, turned into contributions in place
+        merged = (A.copy(), B.copy())
+        stale = None
         if policy.exact_correction:
-            for w, c, a, b in zip(workers, contribs, A, B):
-                a0, b0 = w.corrections[li]
-                c -= b0 @ a0
+            pairs = [w.corrections[li] for w in workers]
+            stale = tuple(np.stack(f) for f in zip(*pairs))  # copies, before the refresh
+            for (a0, b0), a, b in zip(pairs, A, B):
                 a0[...], b0[...] = a, b
-        contribs *= layer.s
-        for wd, contrib in zip(worker_deltas, contribs):
-            wd.append(contrib)
-        delta = contribs.sum(axis=0) / len(heads)
-        deltas.append(delta)
-        layer.W = layer.W + delta
+        c = layer.s / len(heads)
+        layer.W = layer.W + head_increment(c, *merged, stale)
+        coefs.append(c)
+        factors.append(merged)
+        stales.append(stale)
         if policy.reset_B:
             B[...] = 0.0
         if policy.reset_A:
@@ -462,7 +487,7 @@ def merge(
             w.opt.reset_states()
     for w in workers:
         w.steps_since_merge = 0
-    return UpdateRecord(merge_id=merge_id, step=step, delta=deltas, worker_deltas=worker_deltas)
+    return UpdateRecord(merge_id=merge_id, step=step, coefs=coefs, factors=factors, stale=stales)
 
 
 def _build_network(cfg: RunConfig, root: RandomSource, n_heads: int) -> Network:
@@ -488,7 +513,13 @@ def _make_stream(cfg: RunConfig, task: LeastSquaresTask, root: RandomSource, k: 
     if cfg.dataset.pool is None:
         return IidStream(task, [root.child("worker", i) for i in range(k)])
     x = root.child("pool").standard_normal((task.n, cfg.dataset.pool))
-    return PooledStream(x, task.W_star @ x, k)
+    y = task.W_star @ x
+    # the stream keeps sample-major copies; making x's and dropping x before
+    # y's keeps at most three of the four pool arrays live at once, and
+    # PooledStream finds the copies' transposes already sample-major
+    xt = np.ascontiguousarray(x.T)
+    del x
+    return PooledStream(xt.T, np.ascontiguousarray(y.T).T, k)
 
 
 def _effective_weights(net: Network, workers: Sequence[WorkerState] = ()) -> list[Matrix]:

@@ -22,8 +22,10 @@ and a training regime is nothing more than its choice of terms, one
              and every product is one batched matmul
 
 `Mode.terms` is the only place a coefficient is chosen; the forward pass,
-the input gradient, the head gradients, the finite-difference probe and
-`effective_weight` all loop over its terms.
+the input gradient, the head gradients and the finite-difference probe all
+loop over its terms. The dense increment the multi-head view adds to W,
+(s/N) * (sum_n B_n A_n - sum_n B°_n A°_n), has one function,
+`head_increment`, which `effective_weight` and an lte merge share.
 """
 
 from __future__ import annotations
@@ -158,15 +160,21 @@ def _check_corrections(net: Network, corrections, mode: Mode) -> list[tuple | No
     if len(corrections) != len(net.layers):
         raise ValueError("need one correction entry (or None) per layer")
     for li, (layer, corr) in enumerate(zip(net.layers, corrections)):
-        if corr is None:
-            continue
-        want = tuple(f.shape for f in layer.factors(mode.head))
-        got = (tuple(np.shape(f) for f in corr) if isinstance(corr, tuple)
-               else f"{type(corr).__name__} {getattr(corr, 'shape', '')}")
-        if got != want:
-            raise ValueError(f"layer {li}: a correction is the factor pair (A°, B°) of shapes "
-                             f"{want}, got {got}")
+        problem = None if corr is None else correction_mismatch(layer, corr, mode.head)
+        if problem:
+            raise ValueError(f"layer {li}: {problem}")
     return list(corrections)
+
+
+def correction_mismatch(layer: LoraLinear, corr, heads: int | range) -> str | None:
+    """None when corr is a factor pair (A°, B°) shaped like
+    `layer.factors(heads)`; otherwise what was wanted and what came."""
+    want = tuple(f.shape for f in layer.factors(heads))
+    got = (tuple(np.shape(f) for f in corr) if isinstance(corr, tuple)
+           else f"{type(corr).__name__} {getattr(corr, 'shape', '')}")
+    if got == want:
+        return None
+    return f"a correction is the factor pair (A°, B°) of shapes {want}, got {got}"
 
 
 def _sharded(mode: Mode, inputs) -> bool:
@@ -186,18 +194,31 @@ def _layer_forward(layer: LoraLinear, x: Matrix, terms: list[Term]) -> Matrix:
     return out
 
 
+def head_increment(c: float, A: Matrix, B: Matrix, stale: tuple[Matrix, Matrix] | None = None
+                   ) -> Matrix:
+    """c * (sum_h B_h A_h - sum_h B°_h A°_h) for head stacks A (k, r, n) and
+    B (k, m, r): one GEMM of the heads concatenated in head order, B as
+    (m, k r) and A as (k r, n), minus, given the stale stacks (A°, B°), a
+    second GEMM of theirs, so that it is exactly 0 when they equal the heads.
+    `effective_weight`, an lte merge and its record all call it."""
+    def product(A, B):
+        return B.transpose(1, 0, 2).reshape(B.shape[1], -1) @ A.reshape(-1, A.shape[-1])
+
+    prod = product(A, B)
+    if stale is not None:
+        prod -= product(*stale)
+    return c * prod
+
+
 def effective_weight(layer: LoraLinear, corrections=None) -> Matrix:
     """W + (s/N) * (sum_n B_n A_n - sum_n B°_n A°_n), the weight the
     multi-head view realizes once the stale corrections, the (A°_n, B°_n)
-    pairs in `corrections` (None: none), are subtracted: one GEMM of the
-    concatenated factors, [B | -B°] [A ; A°]."""
+    pairs in `corrections` (None: none), are subtracted; the increment is
+    `head_increment` of the layer's head stacks and the stacked pairs."""
     if not layer.num_heads:
         return layer.W.copy()
-    pairs = corrections or ()
-    A = np.concatenate([layer.A.reshape(-1, layer.n), *(a for a, _ in pairs)])
-    B = np.concatenate([layer.B.transpose(1, 0, 2).reshape(layer.m, -1), *(-b for _, b in pairs)],
-                       axis=1)
-    return layer.W + layer.s / layer.num_heads * (B @ A)
+    stale = tuple(np.stack(f) for f in zip(*corrections)) if corrections else None
+    return layer.W + head_increment(layer.s / layer.num_heads, layer.A, layer.B, stale)
 
 
 def forward(

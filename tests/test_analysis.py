@@ -438,8 +438,9 @@ class TestUpdateRankTrace:
 
         class FakeRun:
             snapshots = [snap0, snap1]
-            merges = [UpdateRecord(merge_id=1, step=10, delta=[np.zeros((4, 4))],
-                                   worker_deltas=[[np.zeros((4, 4))]])]
+            merges = [UpdateRecord(merge_id=1, step=10, coefs=[1.0],
+                                   factors=[(np.ones((1, 1, 4)), np.zeros((1, 4, 1)))],
+                                   stale=[None])]
 
         trace = update_rank_trace(FakeRun())
         assert abs(trace.weight_rank[1, 0] - 4.0) <= 1e-12

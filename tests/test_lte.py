@@ -277,17 +277,30 @@ class TestMerge:
         layer = net.layers[0]
         for hi, h in enumerate(layer.heads):
             h.B = rng.child("bfill", hi).standard_normal(h.B.shape)
-        # reference: one head at a time, summed in index order
+        # reference: one head at a time; and the merge's arithmetic, one
+        # GEMM of the factors concatenated in index order
         contribs = [layer.s * (h.B @ h.A) for h in layer.heads]
-        total = np.zeros_like(layer.W)
-        for c in contribs:
-            total = total + c
+        pinned = layer.s / 4 * (np.hstack([h.B for h in layer.heads])
+                                @ np.vstack([h.A for h in layer.heads]))
         rec = merge(net, workers, MergePolicy(period=1))
-        for wd, c in zip(rec.worker_deltas, contribs):
-            assert wd[0].tobytes() == c.tobytes()
-        assert rec.delta[0].tobytes() == (total / 4).tobytes()
-        stacked = np.stack([wd[0] for wd in rec.worker_deltas])
-        np.testing.assert_allclose(rec.delta[0], stacked.mean(axis=0), atol=1e-15)
+        A, B = rec.factors[0]
+        for h, c in enumerate(contribs):
+            assert (layer.s * (B[h] @ A[h])).tobytes() == c.tobytes()
+        assert rec.delta[0].tobytes() == pinned.tobytes()
+        np.testing.assert_allclose(rec.delta[0], np.mean(contribs, axis=0), atol=1e-15)
+
+    def test_exact_merge_checks_every_correction_first(self):
+        # a dense (m, n) placeholder in layer 1 is rejected, naming worker
+        # and layer, before layer 0's W, any head or any stale factor moves
+        net, workers, stale = chain_setup((3, 4, 5), r=2, n_heads=2, seed=3, exact=True)
+        workers[1].corrections[1] = np.zeros((5, 4))
+        before = [a.copy() for layer in net.layers for a in (layer.W, layer.A, layer.B)]
+        before += [f.copy() for pair in stale for f in pair]
+        with pytest.raises(ValueError, match="worker 1, layer 1"):
+            merge(net, workers, exact_policy())
+        after = [a for layer in net.layers for a in (layer.W, layer.A, layer.B)]
+        after += [f for pair in stale for f in pair]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(after, before))
 
     def test_step_count_mismatch_rejected(self):
         net, task, workers, rng = tiny_setup()
@@ -356,8 +369,8 @@ class TestMerge:
         assert w_a.tobytes() == w_b.tobytes()
         for ra, rb in zip(rec_a, rec_b):
             assert ra.delta[0].tobytes() == rb.delta[0].tobytes()
-            for da, db in zip(ra.worker_deltas, rb.worker_deltas):
-                assert da[0].tobytes() == db[0].tobytes()
+            for fa, fb in zip((*ra.factors[0], *ra.stale[0]), (*rb.factors[0], *rb.stale[0])):
+                assert fa.tobytes() == fb.tobytes()
         for (a_a, b_a), (a_b, b_b) in zip(v_a, v_b):
             assert a_a.tobytes() == a_b.tobytes() and b_a.tobytes() == b_b.tobytes()
 
@@ -428,6 +441,93 @@ class TestFactorCorrections:
             a, b = w.corrections[0]
             assert a.tobytes() == layer.A[h].tobytes() and b.tobytes() == layer.B[h].tobytes()
         np.testing.assert_allclose(rec.delta[0], layer.s / n_heads * dense, rtol=0, atol=1e-12)
+
+
+def chain_setup(dims, r, n_heads, seed, exact):
+    """An identity chain of Gaussian layers d_i -> d_{i+1} with Gaussian
+    heads, and the runner's workers: one shared optimizer, their (A°, B°)
+    views on Gaussian stale stacks shaped like each layer's head stacks."""
+    rng = RandomSource(seed)
+    layers = []
+    for li, (n, m) in enumerate(zip(dims, dims[1:])):
+        heads = [LoraHead(A=rng.child("A", li, i).standard_normal((r, n)),
+                          B=rng.child("B", li, i).standard_normal((m, r)))
+                 for i in range(n_heads)]
+        layers.append(LoraLinear(W=rng.child("W", li).standard_normal((m, n)), alpha=1.5 * r,
+                                 heads=heads))
+    net = Network(layers)
+    stale = [(rng.child("A°", li).standard_normal(layer.A.shape),
+              rng.child("B°", li).standard_normal(layer.B.shape))
+             for li, layer in enumerate(layers)]
+    opt = KeyedOptimizer("adamw", OptimConfig(eta=1e-2))
+    workers = [WorkerState(head_index=i, stream=None, opt=opt,
+                           corrections=[(a[i], b[i]) for a, b in stale], use_correction=exact)
+               for i in range(n_heads)]
+    return net, workers, stale
+
+
+MERGE_POLICIES = {"reset_B": MergePolicy(period=1), "reset_A": MergePolicy(period=1, reset_A=True),
+                  "exact": exact_policy()}
+
+
+@st.composite
+def merge_cases(draw):
+    """(dims, r, N, policy name, seed): an identity chain of 1-3 layers of
+    dims 1-7, r up to the narrowest, N 1-4, and a reset_B, reset_B plus
+    reset_A or exact merge."""
+    dims = tuple(draw(st.lists(st.integers(1, 7), min_size=2, max_size=4)))
+    return (dims, draw(st.integers(1, min(dims))), draw(st.integers(1, 4)),
+            draw(st.sampled_from(sorted(MERGE_POLICIES))), draw(st.integers(0, 2**32 - 1)))
+
+
+class TestFactorRecords:
+    """A merge adds `head_increment` to W and records the factors it took
+    the increment from, never a dense (m, n) matrix."""
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(merge_cases())
+    def test_merge_moves_no_effective_weight_bit(self, case):
+        # the effective weight before the merge is bitwise W + delta, and
+        # a reset_B or exact merge leaves it bitwise where it was
+        dims, r, n_heads, name, seed = case
+        net, workers, _ = chain_setup(dims, r, n_heads, seed, exact=name == "exact")
+        before = lte._effective_weights(net, workers)
+        w_before = [layer.W.copy() for layer in net.layers]
+        rec = merge(net, workers, MERGE_POLICIES[name], init=InitScheme("kaiming"),
+                    rng=RandomSource(seed).child("merge"))
+        after = lte._effective_weights(net, workers)
+        for li, layer in enumerate(net.layers):
+            assert layer.W.tobytes() == (w_before[li] + rec.delta[li]).tobytes()
+            assert after[li].tobytes() == before[li].tobytes()
+            assert layer.W.tobytes() == before[li].tobytes()
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(merge_cases())
+    def test_record_is_head_stacks_that_later_training_leaves_alone(self, case):
+        # every record array is a copy shaped like a head stack, so training
+        # the heads (and refreshing the stale stacks) moves no delta byte
+        dims, r, n_heads, name, seed = case
+        exact = name == "exact"
+        net, workers, stale = chain_setup(dims, r, n_heads, seed, exact)
+        rec = merge(net, workers, MERGE_POLICIES[name], init=InitScheme("kaiming"),
+                    rng=RandomSource(seed).child("merge"))
+        for li, layer in enumerate(net.layers):
+            arrays = [*rec.factors[li], *(rec.stale[li] or ())]
+            assert len(arrays) == (4 if exact else 2)
+            assert [a.shape for a in arrays] == [layer.A.shape, layer.B.shape] * (len(arrays) // 2)
+            assert not any(np.shares_memory(a, b) for a in arrays
+                           for b in (layer.A, layer.B, *stale[li]))
+        delta = [d.tobytes() for d in rec.delta]
+        heads = range(n_heads)
+        rng = RandomSource(seed).child("train")
+        for t in range(2):
+            batch = Batch(inputs=rng.child("x", t).standard_normal((n_heads, dims[0], 3)),
+                          targets=rng.child("y", t).standard_normal((n_heads, dims[-1], 3)))
+            _train_heads(net, workers[0].opt, batch, Mode.worker(heads), heads,
+                         stale if exact else None)
+        merge(net, workers, MERGE_POLICIES[name], merge_id=2, init=InitScheme("kaiming"),
+              rng=RandomSource(seed).child("merge"))
+        assert [d.tobytes() for d in rec.delta] == delta
 
 
 @st.composite
