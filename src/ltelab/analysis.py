@@ -100,8 +100,11 @@ class AlignmentReport:
     excluded_heads: tuple[int, ...] = field(default=())
 
 
-def head_alignment(layer: LoraLinear, rank_tol: float = 1e-10) -> AlignmentReport:
-    """Alignment of a layer's heads; needs N >= 2.
+def head_alignment(heads: LoraLinear | tuple[Matrix, Matrix], rank_tol: float = 1e-10
+                   ) -> AlignmentReport:
+    """Alignment of a layer's heads, or of the head stacks (A, B), shaped
+    (N, r, n) and (N, m, r), of one (such as a merge record's copies);
+    needs N >= 2.
 
     Heads whose product is zero (or numerically rank-deficient below the
     nominal rank) cannot span the k-dimensional subspace the distance is
@@ -116,16 +119,19 @@ def head_alignment(layer: LoraLinear, rank_tol: float = 1e-10) -> AlignmentRepor
     R_B R_A^T carries the product's singular values for the rank test, and a
     full-rank head's column space is span(Q_B).
     """
-    n_heads = layer.num_heads
-    if n_heads < 2:
-        raise ValueError(f"head_alignment needs at least 2 heads, got {n_heads}")
-    r = layer.rank
-    A = as_matrix(layer.A, "head A stack", stacked=True)
-    B = as_matrix(layer.B, "head B stack", stacked=True)
+    A, B = (heads.A, heads.B) if isinstance(heads, LoraLinear) else heads
+    if len(A) < 2:
+        raise ValueError(f"head_alignment needs at least 2 heads, got {len(A)}")
+    A = as_matrix(A, "head A stack", stacked=True)
+    B = as_matrix(B, "head B stack", stacked=True)
+    n_heads, r, n = A.shape
+    m = B.shape[1]
+    if B.shape != (n_heads, m, r):
+        raise ValueError(f"head stacks do not pair: A is {A.shape}, B is {B.shape}")
     # (N r x N r) Grams of all factor columns / rows; block (i, j) is
     # B_i^T B_j resp. A_i A_j^T
-    b_cols = B.transpose(1, 0, 2).reshape(layer.m, n_heads * r)
-    a_rows = A.reshape(n_heads * r, layer.n)
+    b_cols = B.transpose(1, 0, 2).reshape(m, n_heads * r)
+    a_rows = A.reshape(n_heads * r, n)
     inner = ((b_cols.T @ b_cols) * (a_rows @ a_rows.T)).reshape(n_heads, r, n_heads, r).sum(
         axis=(1, 3)
     )

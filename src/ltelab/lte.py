@@ -540,8 +540,9 @@ def _chain(weights: list[Matrix]) -> Matrix:
 
 def _population_mse(weights: list[Matrix], task: LeastSquaresTask) -> float:
     # E over x ~ N(0, I) of the batch-mean half squared error
-    diff = _chain(weights) - task.W_star
-    return 0.5 * float(np.sum(diff * diff))
+    diff = _chain(weights) - task.W_star  # a fresh array: square it in place
+    diff *= diff
+    return 0.5 * float(np.sum(diff))
 
 
 def _eval_enabled(cfg: RunConfig) -> bool:
@@ -552,10 +553,17 @@ def _eval_enabled(cfg: RunConfig) -> bool:
     )
 
 
-def _alignment(net: Network) -> list[AlignmentReport] | None:
+def _alignment(net: Network, merged: UpdateRecord | None) -> list[AlignmentReport] | None:
+    """Alignment of the heads as trained: on a merge step, of the merge
+    record's copies of them, which a reset has not touched."""
     if net.layers[0].num_heads < 2:
         return None
-    return [head_alignment(layer) for layer in net.layers]
+    return [head_alignment(heads) for heads in (merged.factors if merged else net.layers)]
+
+
+def _rank(m: Matrix) -> float:
+    """Effective rank, NaN for the zero matrix, where it is undefined."""
+    return effective_rank(m) if np.any(m != 0.0) else float("nan")
 
 
 # Each mode's `_*_step` function takes (cfg, net, the run's stream, per-slice
@@ -639,7 +647,14 @@ def run(cfg: RunConfig) -> RunResult:
     last step; the default interval is the merge period, or the whole run
     in modes that never merge. When there are workers they merge every
     period steps; population MSE is evaluated after every step where it is
-    defined, and stop_mse ends the run at the first step at or under it."""
+    defined, and stop_mse ends the run at the first step at or under it.
+
+    Each step runs in this order: the mode's step, the merge, one pass over
+    the layers' effective weights (when a snapshot is due or MSE is
+    evaluated), the snapshot, the evaluation; snapshot and evaluation read
+    that one pass. A snapshot's alignment is of the heads as trained, so on
+    a merge step it comes from the merge record. From an all-zero base the
+    accumulated update is the weight itself, and its rank is taken once."""
     cfg.validate()
     root = RandomSource(cfg.seed)
     task = gen_least_squares(cfg.dataset.m, cfg.dataset.n, cfg.dataset.rank, root.child("task"))
@@ -655,11 +670,16 @@ def run(cfg: RunConfig) -> RunResult:
     do_eval = _eval_enabled(cfg)
 
     base_weights = _effective_weights(net, workers)
+    # from a base of +0.0 entries w - w0 is bitwise w, so a snapshot's update
+    # rank is its weight rank (a -0.0 base entry would turn -0.0 into +0.0)
+    zero_base = not any(np.any(w) or np.signbit(w).any() for w in base_weights)
     merges: list[UpdateRecord] = []
 
-    def snapshot(step: int, alignment: list[AlignmentReport] | None) -> Snapshot:
-        weights = _effective_weights(net, workers)
-        changes = [w - w0 for w, w0 in zip(weights, base_weights)]
+    def snapshot(step: int, weights: list[Matrix]) -> Snapshot:
+        weight_rank = [_rank(w) for w in weights]
+        update_rank = (list(weight_rank) if zero_base
+                       else [_rank(w - w0) for w, w0 in zip(weights, base_weights)])
+        merged = merges[-1] if merges and merges[-1].step == step else None
         params = None
         if record_params:
             params = [[(h.A.copy(), h.B.copy()) for h in layer.heads] for layer in net.layers]
@@ -667,36 +687,35 @@ def run(cfg: RunConfig) -> RunResult:
             step=step,
             merge_id=len(merges),
             weights=weights,
-            alignment=alignment,
-            weight_rank=[effective_rank(w) if np.any(w != 0.0) else float("nan") for w in weights],
-            update_rank=[effective_rank(c) if np.any(c != 0.0) else float("nan") for c in changes],
+            alignment=_alignment(net, merged) if step else None,
+            weight_rank=weight_rank,
+            update_rank=update_rank,
             params=params,
         )
 
-    snapshots = [snapshot(0, None)]
+    snapshots = [snapshot(0, base_weights)]
     losses = []
     eval_mse = []
     stopped_at = None
     for step in range(1, cfg.total_steps + 1):
         losses.append(step_fn())
-        snap_due = step % interval == 0
-        # alignment of the heads as trained, before a reset_B merge zeroes them
-        align = _alignment(net) if snap_due else None
         if workers and step % period == 0:
             merges.append(
                 merge(net, workers, cfg.policy, merge_id=len(merges) + 1, step=step,
                       init=cfg.init, rng=merge_rng)
             )
+        snap_due = step % interval == 0
+        weights = _effective_weights(net, workers) if snap_due or do_eval else None
         if snap_due:
-            snapshots.append(snapshot(step, align))
+            snapshots.append(snapshot(step, weights))
         if do_eval:
-            mse = _population_mse(_effective_weights(net, workers), task)
+            mse = _population_mse(weights, task)
             eval_mse.append(mse)
             if cfg.stop_mse is not None and mse <= cfg.stop_mse:
                 stopped_at = step
                 break
     if snapshots[-1].step != len(losses):
-        snapshots.append(snapshot(len(losses), _alignment(net)))
+        snapshots.append(snapshot(len(losses), weights or _effective_weights(net, workers)))
     return RunResult(
         config=cfg,
         task=task,

@@ -200,25 +200,31 @@ def head_increment(c: float, A: Matrix, B: Matrix, stale: tuple[Matrix, Matrix] 
     B (k, m, r): one GEMM of the heads concatenated in head order, B as
     (m, k r) and A as (k r, n), minus, given the stale stacks (A°, B°), a
     second GEMM of theirs, so that it is exactly 0 when they equal the heads.
-    `effective_weight`, an lte merge and its record all call it."""
+    `effective_weight`, an lte merge and its record all call it. The result
+    is a fresh array, scaled in place: bitwise c * prod, aliasing no input."""
     def product(A, B):
         return B.transpose(1, 0, 2).reshape(B.shape[1], -1) @ A.reshape(-1, A.shape[-1])
 
     prod = product(A, B)
     if stale is not None:
         prod -= product(*stale)
-    return c * prod
+    prod *= c
+    return prod
 
 
 def effective_weight(layer: LoraLinear, corrections=None) -> Matrix:
     """W + (s/N) * (sum_n B_n A_n - sum_n B°_n A°_n), the weight the
     multi-head view realizes once the stale corrections, the (A°_n, B°_n)
     pairs in `corrections` (None: none), are subtracted; the increment is
-    `head_increment` of the layer's head stacks and the stacked pairs."""
+    `head_increment` of the layer's head stacks and the stacked pairs, into
+    which W is added in place (bitwise W + increment). The result aliases
+    neither W, the heads nor the pairs."""
     if not layer.num_heads:
         return layer.W.copy()
     stale = tuple(np.stack(f) for f in zip(*corrections)) if corrections else None
-    return layer.W + head_increment(layer.s / layer.num_heads, layer.A, layer.B, stale)
+    inc = head_increment(layer.s / layer.num_heads, layer.A, layer.B, stale)
+    inc += layer.W
+    return inc
 
 
 def forward(

@@ -303,6 +303,23 @@ class TestFactoredAlignment:
         rep = head_alignment(layer)
         assert rep.excluded_heads == dense_alignment(layer).excluded_heads == excluded
 
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(alignment_shapes())
+    def test_stack_pair_is_read_as_the_layer(self, shape):
+        # a merge record's copies of the stacks align as the layer did
+        m, n, r, n_heads, seed = shape
+        layer = gaussian_layer(RandomSource(seed), m, n, r, n_heads)
+        rep, pair = head_alignment(layer), head_alignment((layer.A.copy(), layer.B.copy()))
+        assert rep.excluded_heads == pair.excluded_heads and rep.rank == pair.rank
+        for name in ("cosine", "grassman", "mean_cosine", "mean_grassman_pairs",
+                     "mean_grassman_scaled"):
+            assert np.array_equal(getattr(rep, name), getattr(pair, name), equal_nan=True), name
+
+    @pytest.mark.parametrize("b_shape", [(3, 7, 3), (2, 7, 2)], ids=["rank", "heads"])
+    def test_unpaired_stacks_rejected(self, b_shape):
+        with pytest.raises(ValueError, match="do not pair"):
+            head_alignment((np.ones((3, 2, 5)), np.ones(b_shape)))
+
     @pytest.mark.parametrize("factor", ["A", "B"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_factor_rejected(self, factor, value):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ltelab import lte, network
-from ltelab.analysis import trajectory_deviation
+from ltelab.analysis import effective_rank, head_alignment, trajectory_deviation
 from ltelab.data import gen_least_squares, sample_batch
 from ltelab.layers import LoraHead, LoraLinear
 from ltelab.lte import (
@@ -29,7 +29,8 @@ from ltelab.lte import (
     run_lte,
     run_mhlora,
 )
-from ltelab.network import Batch, Mode, Network, forward, loss_and_grad
+from ltelab.network import (Batch, Mode, Network, effective_weight, forward, head_increment,
+                            loss_and_grad)
 from ltelab.numerics import InitScheme, RandomSource, init_matrix
 from ltelab.optim import OptimConfig, sgd_step
 
@@ -531,6 +532,116 @@ class TestFactorRecords:
 
 
 @st.composite
+def increment_cases(draw):
+    """(m, n, r, N, seed, exact): one Gaussian layer with N 1-4 heads."""
+    m, n = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    return (m, n, draw(st.integers(1, min(m, n))), draw(st.integers(1, 4)),
+            draw(st.integers(0, 2**32 - 1)), draw(st.booleans()))
+
+
+def _concat_product(A, B):
+    """sum_h B_h A_h as one GEMM of the stacks concatenated in head order."""
+    return B.transpose(1, 0, 2).reshape(B.shape[1], -1) @ A.reshape(-1, A.shape[-1])
+
+
+class TestInPlaceIncrement:
+    """`head_increment` scales its fresh product in place and
+    `effective_weight` adds W into it: bitwise the out-of-place
+    W + c (P - P°), into an array no input shares."""
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(increment_cases())
+    def test_bitwise_out_of_place_and_owned_by_the_caller(self, case):
+        m, n, r, n_heads, seed, exact = case
+        net, workers, stale = chain_setup((n, m), r, n_heads, seed, exact)
+        layer, stale = net.layers[0], stale[0] if exact else None
+        c = layer.s / n_heads
+        diff = _concat_product(layer.A, layer.B)
+        if exact:
+            diff = diff - _concat_product(*stale)
+        want = layer.W + c * diff
+        inputs = [layer.W, layer.A, layer.B, *(stale or ())]
+        before = [a.tobytes() for a in inputs]
+        inc = head_increment(c, layer.A, layer.B, stale)
+        eff = effective_weight(layer, [w.corrections[0] for w in workers if w.use_correction])
+        assert inc.tobytes() == (c * diff).tobytes()
+        assert eff.tobytes() == want.tobytes()
+        inc[...] = np.nan
+        eff[...] = np.nan
+        assert [a.tobytes() for a in inputs] == before
+
+    def test_headless_layer_returns_a_copy(self):
+        layer = LoraLinear(W=RandomSource(1).standard_normal((3, 4)), alpha=1.0, heads=[])
+        w = layer.W.copy()
+        effective_weight(layer)[...] = np.nan
+        assert layer.W.tobytes() == w.tobytes()
+
+
+def _count_ranks(monkeypatch):
+    calls = [0]
+
+    def counted(m):
+        calls[0] += 1
+        return effective_rank(m)
+
+    monkeypatch.setattr(lte, "effective_rank", counted)
+    return calls
+
+
+class TestSnapshotRankReuse:
+    """From an all-zero base the accumulated update is the weight itself:
+    a snapshot takes one rank per layer and reports it twice. From a
+    nonzero base it takes two."""
+
+    def test_zero_base_takes_one_rank_per_layer(self, monkeypatch):
+        calls = _count_ranks(monkeypatch)
+        res = run_lte(ls_config(mode="lte", n_heads=3, dim=8, period=3, snapshot_interval=4,
+                                total_steps=14, policy=exact_policy(period=3)))
+        assert not res.snapshots[0].weights[0].any()
+        assert [s.step for s in res.snapshots] == [0, 4, 8, 12, 14]
+        assert all(s.weights[0].any() for s in res.snapshots[1:])
+        assert calls[0] == len(res.snapshots) - 1
+        for snap in res.snapshots:
+            assert np.array(snap.update_rank).tobytes() == np.array(snap.weight_rank).tobytes()
+
+    def test_nonzero_base_takes_two_ranks_per_layer(self, monkeypatch):
+        calls = _count_ranks(monkeypatch)
+        cfg = ls_config(mode="lte", n_heads=2, dim=6, period=2, snapshot_interval=3,
+                        total_steps=10, policy=exact_policy(period=2))
+        cfg = dataclasses.replace(cfg, arch=ArchSpec(dims=(6, 5, 6), w_init="kaiming"))
+        res = run_lte(cfg)
+        n_layers, snaps = 2, res.snapshots
+        # step 0: the weights' ranks only (the update is zero); then both
+        assert calls[0] == n_layers * (2 * len(snaps) - 1)
+        assert np.isnan(snaps[0].update_rank).all()
+        for snap in snaps[1:]:
+            for li, (w, w0) in enumerate(zip(snap.weights, snaps[0].weights)):
+                assert snap.update_rank[li] == effective_rank(w - w0)
+                assert snap.weight_rank[li] == effective_rank(w)
+
+
+class TestSharedEffectiveWeights:
+    """Eval and the snapshot of a step read one effective-weight pass: the
+    population MSE recomputed from the snapshot's weights is the same bits."""
+
+    @pytest.mark.parametrize("policy", [
+        MergePolicy(period=3), MergePolicy(period=3, reset_A=True), exact_policy(period=3),
+    ], ids=["reset_B", "reset_A", "exact"])
+    @pytest.mark.parametrize("dims, w_init", [((8, 8), "zeros"), ((8, 6, 8), "kaiming")],
+                             ids=["1-layer", "2-layer"])
+    def test_eval_reads_the_snapshot_weights(self, policy, dims, w_init):
+        cfg = ls_config(mode="lte", n_heads=2, dim=8, policy=policy, snapshot_interval=4,
+                        total_steps=23, init_kind="xavier")
+        res = run_lte(dataclasses.replace(cfg, arch=ArchSpec(dims=dims, w_init=w_init)))
+        assert [s.step for s in res.snapshots] == [0, 4, 8, 12, 16, 20, 23]
+        for snap in res.snapshots[1:]:
+            prod = snap.weights[0]
+            for w in snap.weights[1:]:
+                prod = w @ prod
+            assert res.eval_mse[snap.step - 1] == 0.5 * np.sum((prod - res.task.W_star) ** 2)
+
+
+@st.composite
 def mhlora_configs(draw):
     """Small joint multi-head runs: N 1-4 (N = 1 as mode lora or mhlora),
     depth 1-3, identity or ReLU gaps, SGD or AdamW over 2-5 steps."""
@@ -759,6 +870,21 @@ class TestRunLoop:
         for snap in res.snapshots[1:]:
             assert snap.alignment[0].excluded_heads == ()
             assert np.isfinite(snap.alignment[0].mean_cosine)
+
+    def test_final_snapshot_aligns_the_heads_a_reset_merge_took(self):
+        # steps 5 and 10 snapshot between merges, the final step 12 merges
+        # with reset_B: its alignment is of the merge record's copies
+        res = run_lte(ls_config(mode="lte", n_heads=3, rank=4, period=3, snapshot_interval=5,
+                                total_steps=12, batch_size=30, seed=3))
+        assert [s.step for s in res.snapshots] == [0, 5, 10, 12]
+        final, rec = res.snapshots[-1], res.merges[-1]
+        assert rec.step == 12 and not res.network.layers[0].B.any()
+        rep = final.alignment[0]
+        assert rep.excluded_heads == ()
+        assert np.isfinite(rep.mean_cosine) and np.isfinite(rep.mean_grassman_pairs)
+        oracle = head_alignment(rec.factors[0])
+        for name in ("cosine", "grassman", "mean_cosine", "mean_grassman_pairs"):
+            assert np.array_equal(getattr(rep, name), getattr(oracle, name), equal_nan=True)
 
     @pytest.mark.parametrize("cfg", [
         ls_config(mode="full", dim=8, eta=0.1, stop_mse=1e-3),
