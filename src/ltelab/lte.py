@@ -19,10 +19,12 @@ lte step emulates that parallelism with one batched step for all N workers
 on one Batch, whose slice j the run's one stream draws from worker j's own
 Philox stream or pool shard. Every head update (one worker's `local_step`,
 the lte step, the joint multi-head step) is one `loss_and_grad` call and one
-update of the layers' stacked heads under one optimizer, whose moments are
-stacked alike. A merge adds to W the increment `head_increment` takes from
-the head stacks in one GEMM (two in exact mode), and its record keeps
-copies of those stacks, not the dense m x n increment.
+optimizer call over every trained factor of every layer, gathered head-major
+into one (k, P) array, so the moments are one (k, P) state whose row j is
+head j's. A merge adds to W the increment `head_increment` takes from the
+head stacks in one GEMM (two in exact mode), and its record keeps copies of
+those stacks, not the dense m x n increment; in a run, an exact record's
+stale factors are the previous record's merged factors, shared, not copied.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .optim import AdamState, OptimConfig, adamw_step, sgd_step
 
 RUN_MODES = ("full", "lora", "mhlora", "lte")
 OPTIMIZERS = ("sgd", "adamw")
+HEADS_KEY = "heads"
 
 
 class ConfigError(ValueError):
@@ -259,7 +262,10 @@ def config_from_dict(raw: dict) -> RunConfig:
 
 
 class KeyedOptimizer:
-    """SGD or AdamW over a keyed family of parameters, one state per key."""
+    """SGD or AdamW over a keyed family of parameters, one state per key.
+    Head training steps all its factors under one key, HEADS_KEY, as one
+    head-major (k, P) array (see `_train_heads`), so row j of that state
+    is head j's moments; full training keys each layer's W by (li, "W")."""
 
     def __init__(self, kind: str, cfg: OptimConfig):
         if kind not in OPTIMIZERS:
@@ -323,7 +329,8 @@ class WorkerState:
     The runner's workers have no stream: worker j trains on slice j of the
     run's one stream. Their (A°, B°) are views on stacks shaped like the head
     stacks, refreshed in place by merge, and they share one optimizer over
-    the head stacks: worker j's moments are slice j of its (N, ...) states."""
+    the head stacks, whose one state under HEADS_KEY is (N, P): worker j's
+    moments are its row j."""
 
     head_index: int
     stream: object
@@ -339,7 +346,10 @@ class UpdateRecord:
     """What one merge added to the base weights, kept as factors: per layer
     the coefficient c = s/N, copies of the merged head stacks (A, B), and in
     exact mode copies of the stale stacks (A°, B°) the merge subtracted
-    (None otherwise). delta[layer] recomputes the dense increment
+    (None otherwise). In a run, record k's stale stacks are bitwise record
+    k-1's merged stacks, so `run` shares those instead: a record's arrays
+    are never shared with the live heads or stale stacks, only with the
+    neighbouring record. delta[layer] recomputes the dense increment
     c (B A - B° A°) with `head_increment`, bitwise what the merge added to
     W. Worker n's contribution, s (B_n A_n - B°_n A°_n), comes from slice n
     of each stack."""
@@ -412,16 +422,26 @@ def local_step(worker: WorkerState, net: Network, batch: Batch) -> float:
 
 def _train_heads(net: Network, opt: KeyedOptimizer, batch: Batch, mode: Mode,
                  heads: int | range, corrections=None):
-    """One loss_and_grad call in `mode`, then one update of the factors of
-    `heads` (one head, or a range whose (k, ...) stacks update at once)
-    under opt, keyed (li, "A") and (li, "B"). The optimizer is element-wise,
-    so slice j of a stack moves exactly as head j alone would. Returns the
-    loss, one per slice for a stacked batch."""
+    """One loss_and_grad call in `mode`, then one optimizer call, keyed
+    HEADS_KEY, for every trained factor of every layer. The factors of
+    `heads` (one head, or a range of k) and their gradients are gathered
+    head-major: row j holds head j's A and B of layer 0, then of layer 1,
+    and so on, flattened, a (k, P) array with P = sum over layers of
+    r (n + m), or one (P,) vector for an int head. The result is scattered
+    back into the stacks in place. The optimizer is element-wise, so row j
+    moves exactly as head j alone would, and its moments are row j of the
+    state. Returns the loss, one per slice for a stacked batch."""
     loss, grads = loss_and_grad(net, batch, mode, corrections=corrections)
-    for li, layer in enumerate(net.layers):
-        A, B = layer.factors(heads)
-        A[...] = opt.step((li, "A"), A, grads[li].dA[heads])
-        B[...] = opt.step((li, "B"), B, grads[li].dB[heads])
+    shape = (len(heads), -1) if isinstance(heads, range) else (-1,)
+    # the factors are slices of C-contiguous stacks, so these are views
+    flat = [f.reshape(shape) for layer in net.layers for f in layer.factors(heads)]
+    dflat = [d[heads].reshape(shape) for g in grads for d in (g.dA, g.dB)]
+    new = opt.step(HEADS_KEY, np.concatenate(flat, axis=-1), np.concatenate(dflat, axis=-1))
+    start = 0
+    for f in flat:
+        end = start + f.shape[-1]
+        f[...] = new[..., start:end]
+        start = end
     return loss
 
 
@@ -522,13 +542,15 @@ def _make_stream(cfg: RunConfig, task: LeastSquaresTask, root: RandomSource, k: 
     return PooledStream(xt.T, np.ascontiguousarray(y.T).T, k)
 
 
-def _effective_weights(net: Network, workers: Sequence[WorkerState] = ()) -> list[Matrix]:
+# per layer, the (A°, B°) stacks of the workers' stale corrections, or None
+Stale = list[tuple[Matrix, Matrix]] | None
+
+
+def _effective_weights(net: Network, stale: Stale = None) -> list[Matrix]:
     """Per-layer effective weight of the current global model, with the
-    workers' stale corrections subtracted in exact mode."""
-    return [
-        effective_weight(layer, [w.corrections[li] for w in workers if w.use_correction])
-        for li, layer in enumerate(net.layers)
-    ]
+    stale corrections, each layer's (A°, B°) stacks, subtracted when given."""
+    return [effective_weight(layer, stale[li] if stale else None)
+            for li, layer in enumerate(net.layers)]
 
 
 def _chain(weights: list[Matrix]) -> Matrix:
@@ -569,17 +591,18 @@ def _rank(m: Matrix) -> float:
 # Each mode's `_*_step` function takes (cfg, net, the run's stream, per-slice
 # batch size) and returns the step, which trains on one draw of the stream's
 # (k, ...) stack and returns that step's row of losses, plus the workers to
-# merge (none outside lte).
+# merge (none outside lte) and the per-layer (A°, B°) stacks their stale
+# corrections view (None unless they use them).
 Step = Callable[[], Sequence[float]]
 
 
 def _lte_step(
     cfg: RunConfig, net: Network, stream, batch: int
-) -> tuple[Step, list[WorkerState]]:
+) -> tuple[Step, list[WorkerState], Stale]:
     """One worker per head, worker j training on slice j of the stream; a
     step is one batched local step of all N workers, with their (A°, B°)
-    and their optimizer moments as (N, ...) stacks, the moments in the one
-    optimizer they share."""
+    as (N, ...) stacks and their optimizer moments as the rows of the one
+    (N, P) state of the optimizer they share."""
     opt = KeyedOptimizer(cfg.optimizer, cfg.optim)
     heads = range(cfg.n_heads)
     stale = [(np.zeros_like(layer.A), np.zeros_like(layer.B)) for layer in net.layers]
@@ -603,28 +626,28 @@ def _lte_step(
             w.total_steps += 1
         return losses
 
-    return step, workers
+    return step, workers, corrections
 
 
 def _mhlora_step(
     cfg: RunConfig, net: Network, stream, batch: int
-) -> tuple[Step, list[WorkerState]]:
+) -> tuple[Step, list[WorkerState], Stale]:
     """Joint multi-head training: each head takes its gradient from its own
     shard through the shared multi-head forward, and all heads update at
     once. A step is one multi-mode call on the stream's stack of the N
-    shards and one update of each layer's (N, ...) head stacks."""
+    shards and one optimizer call over every layer's head factors."""
     opt = KeyedOptimizer(cfg.optimizer, cfg.optim)
     heads = range(cfg.n_heads)
 
     def step():
         return _train_heads(net, opt, Batch(*stream.next(batch)), Mode.multi(), heads)
 
-    return step, []
+    return step, [], None
 
 
 def _full_step(
     cfg: RunConfig, net: Network, stream, batch: int
-) -> tuple[Step, list[WorkerState]]:
+) -> tuple[Step, list[WorkerState], Stale]:
     """Standard training of the base weights themselves (no heads)."""
     opt = KeyedOptimizer(cfg.optimizer, cfg.optim)
 
@@ -635,7 +658,7 @@ def _full_step(
             layer.W = opt.step((li, "W"), layer.W, grads[li].dW)
         return [loss]
 
-    return step, []
+    return step, [], None
 
 
 _STEPS = {"full": _full_step, "lora": _mhlora_step, "mhlora": _mhlora_step, "lte": _lte_step}
@@ -662,14 +685,14 @@ def run(cfg: RunConfig) -> RunResult:
     net = _build_network(cfg, root, n_heads)
     k = max(n_heads, 1)
     batch = cfg.batch_size // k
-    step_fn, workers = _STEPS[cfg.mode](cfg, net, _make_stream(cfg, task, root, k), batch)
+    step_fn, workers, stale = _STEPS[cfg.mode](cfg, net, _make_stream(cfg, task, root, k), batch)
     period = cfg.merge_period
     interval = cfg.snapshot_interval or (period if workers else cfg.total_steps)
     merge_rng = root.child("merge")
     record_params = cfg.record_params and n_heads > 0
     do_eval = _eval_enabled(cfg)
 
-    base_weights = _effective_weights(net, workers)
+    base_weights = _effective_weights(net, stale)
     # from a base of +0.0 entries w - w0 is bitwise w, so a snapshot's update
     # rank is its weight rank (a -0.0 base entry would turn -0.0 into +0.0)
     zero_base = not any(np.any(w) or np.signbit(w).any() for w in base_weights)
@@ -700,12 +723,15 @@ def run(cfg: RunConfig) -> RunResult:
     for step in range(1, cfg.total_steps + 1):
         losses.append(step_fn())
         if workers and step % period == 0:
-            merges.append(
-                merge(net, workers, cfg.policy, merge_id=len(merges) + 1, step=step,
-                      init=cfg.init, rng=merge_rng)
-            )
+            rec = merge(net, workers, cfg.policy, merge_id=len(merges) + 1, step=step,
+                        init=cfg.init, rng=merge_rng)
+            if stale and merges:
+                # the last merge refreshed the stale stacks from the heads it
+                # copied into its record: share that copy, bitwise this one
+                rec.stale = list(merges[-1].factors)
+            merges.append(rec)
         snap_due = step % interval == 0
-        weights = _effective_weights(net, workers) if snap_due or do_eval else None
+        weights = _effective_weights(net, stale) if snap_due or do_eval else None
         if snap_due:
             snapshots.append(snapshot(step, weights))
         if do_eval:
@@ -715,7 +741,7 @@ def run(cfg: RunConfig) -> RunResult:
                 stopped_at = step
                 break
     if snapshots[-1].step != len(losses):
-        snapshots.append(snapshot(len(losses), weights or _effective_weights(net, workers)))
+        snapshots.append(snapshot(len(losses), weights or _effective_weights(net, stale)))
     return RunResult(
         config=cfg,
         task=task,

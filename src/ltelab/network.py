@@ -21,11 +21,16 @@ and a training regime is nothing more than its choice of terms, one
              views at once: every array carries a leading axis of length k,
              and every product is one batched matmul
 
-`Mode.terms` is the only place a coefficient is chosen; the forward pass,
-the input gradient, the head gradients and the finite-difference probe all
-loop over its terms. The dense increment the multi-head view adds to W,
-(s/N) * (sum_n B_n A_n - sum_n B°_n A°_n), has one function,
-`head_increment`, which `effective_weight` and an lte merge share.
+`Mode.terms` is the only place a coefficient is chosen; the head gradients
+and the finite-difference probe loop over its terms. The forward pass and
+the input gradient run one GEMM pair per term, except in multi mode, where
+every head shares the coefficient s/N and the layer runs them as the one
+term (s/N, A_cat, B_cat) of all heads' factors concatenated in index
+order, B_cat (m, N r) and A_cat (N r, n): W x + (s/N) B_cat (A_cat x).
+The dense increment the multi-head view adds to W,
+(s/N) * (sum_n B_n A_n - sum_n B°_n A°_n), is the product of the same
+concatenations, in one function, `head_increment`, which
+`effective_weight` and an lte merge share.
 """
 
 from __future__ import annotations
@@ -45,6 +50,9 @@ MODE_KINDS = ("full", "single", "multi", "worker")
 # weight. h is a head index, a range of k heads (A and B then (k, ...)
 # stacks), or None for a stale correction, which trains nothing.
 Term = tuple[int | range | None, float, Matrix, Matrix]
+# (c, A, B): one GEMM pair c * B (A x) of the forward pass and its transpose
+# c * Aᵀ (Bᵀ u) in the input gradient
+Gemm = tuple[float, Matrix, Matrix]
 
 
 @dataclass(frozen=True)
@@ -187,9 +195,25 @@ def _t(a: Matrix) -> Matrix:
     return a.swapaxes(-1, -2)
 
 
-def _layer_forward(layer: LoraLinear, x: Matrix, terms: list[Term]) -> Matrix:
+def _concat(A: Matrix, B: Matrix) -> tuple[Matrix, Matrix]:
+    """Head stacks A (k, r, n) and B (k, m, r) as one factor pair, the heads
+    concatenated in index order: A_cat (k r, n) and B_cat (m, k r), so that
+    B_cat A_cat = sum_h B_h A_h."""
+    return A.reshape(-1, A.shape[-1]), B.transpose(1, 0, 2).reshape(B.shape[1], -1)
+
+
+def _gemms(layer: LoraLinear, mode: Mode, terms: list[Term]) -> list[Gemm]:
+    """The GEMM pairs the forward and the input gradient run: one per term,
+    or in multi mode, where every head has the one coefficient s/N, one
+    over all heads' factors concatenated (`_concat`)."""
+    if mode.kind == "multi":
+        return [(terms[0][1], *_concat(layer.A, layer.B))]
+    return [(c, A, B) for _, c, A, B in terms]
+
+
+def _layer_forward(layer: LoraLinear, x: Matrix, gemms: list[Gemm]) -> Matrix:
     out = layer.W @ x
-    for _, c, A, B in terms:
+    for c, A, B in gemms:
         out = out + c * (B @ (A @ x))
     return out
 
@@ -197,13 +221,15 @@ def _layer_forward(layer: LoraLinear, x: Matrix, terms: list[Term]) -> Matrix:
 def head_increment(c: float, A: Matrix, B: Matrix, stale: tuple[Matrix, Matrix] | None = None
                    ) -> Matrix:
     """c * (sum_h B_h A_h - sum_h B°_h A°_h) for head stacks A (k, r, n) and
-    B (k, m, r): one GEMM of the heads concatenated in head order, B as
-    (m, k r) and A as (k r, n), minus, given the stale stacks (A°, B°), a
-    second GEMM of theirs, so that it is exactly 0 when they equal the heads.
-    `effective_weight`, an lte merge and its record all call it. The result
-    is a fresh array, scaled in place: bitwise c * prod, aliasing no input."""
+    B (k, m, r): one GEMM B_cat A_cat of the heads concatenated in head order
+    (`_concat`, as the multi-mode forward concatenates them), minus, given
+    the stale stacks (A°, B°), a second GEMM of theirs, so that it is
+    exactly 0 when they equal the heads. `effective_weight`, an lte merge
+    and its record all call it. The result is a fresh array, scaled in
+    place: bitwise c * prod, aliasing no input."""
     def product(A, B):
-        return B.transpose(1, 0, 2).reshape(B.shape[1], -1) @ A.reshape(-1, A.shape[-1])
+        A_cat, B_cat = _concat(A, B)
+        return B_cat @ A_cat
 
     prod = product(A, B)
     if stale is not None:
@@ -212,16 +238,15 @@ def head_increment(c: float, A: Matrix, B: Matrix, stale: tuple[Matrix, Matrix] 
     return prod
 
 
-def effective_weight(layer: LoraLinear, corrections=None) -> Matrix:
+def effective_weight(layer: LoraLinear, stale: tuple[Matrix, Matrix] | None = None) -> Matrix:
     """W + (s/N) * (sum_n B_n A_n - sum_n B°_n A°_n), the weight the
-    multi-head view realizes once the stale corrections, the (A°_n, B°_n)
-    pairs in `corrections` (None: none), are subtracted; the increment is
-    `head_increment` of the layer's head stacks and the stacked pairs, into
-    which W is added in place (bitwise W + increment). The result aliases
-    neither W, the heads nor the pairs."""
+    multi-head view realizes once the stale corrections, the stacks
+    (A°, B°) shaped like the head stacks (None: none), are subtracted; the
+    increment is `head_increment` of the layer's head stacks and the stale
+    stacks, into which W is added in place (bitwise W + increment). The
+    result aliases neither W, the heads nor the stale stacks."""
     if not layer.num_heads:
         return layer.W.copy()
-    stale = tuple(np.stack(f) for f in zip(*corrections)) if corrections else None
     inc = head_increment(layer.s / layer.num_heads, layer.A, layer.B, stale)
     inc += layer.W
     return inc
@@ -238,8 +263,8 @@ def forward(
     raises ValueError. A range of k worker heads takes a (k, n, b) input
     stack and (k, r, n), (k, m, r) correction stacks; multi mode takes an
     (N, n, b) stack of one shard per head. The cache holds each layer's
-    input, pre-activation output and resolved terms, which is exactly what
-    the backward pass needs.
+    input, pre-activation output, resolved terms and GEMM pairs, which is
+    exactly what the backward pass needs.
     """
     x = as_matrix(inputs, "network inputs", stacked=np.ndim(inputs) == 3)
     return _forward(net, x, mode, corrections)
@@ -263,8 +288,9 @@ def _forward(net: Network, x: Matrix, mode: Mode, corrections) -> tuple[Matrix, 
             raise ValueError(f"shard stack of {x.shape[0]} does not match the layer's "
                              f"{layer.num_heads} heads")
         terms = mode.terms(layer, corr)
-        z = _layer_forward(layer, x, terms)
-        cache.append({"x": x, "z": z, "terms": terms})
+        gemms = _gemms(layer, mode, terms)
+        z = _layer_forward(layer, x, gemms)
+        cache.append({"x": x, "z": z, "terms": terms, "gemms": gemms})
         x = np.maximum(z, 0.0) if act == "relu" else z
     return x, cache
 
@@ -342,13 +368,13 @@ def loss_and_grad(
             g.dB[h] = c * (u @ _t(A @ x))
             g.dA[h] = c * ((_t(B) @ u) @ _t(x))
         if i > 0:
-            u = _input_grad(layer, terms, u)
+            u = _input_grad(layer, cache[i]["gemms"], u)
     return loss_val, grads
 
 
-def _input_grad(layer: LoraLinear, terms: list[Term], u: Matrix) -> Matrix:
+def _input_grad(layer: LoraLinear, gemms: list[Gemm], u: Matrix) -> Matrix:
     dx = layer.W.T @ u
-    for _, c, A, B in terms:
+    for c, A, B in gemms:
         dx = dx + c * (_t(A) @ (_t(B) @ u))
     return dx
 

@@ -150,8 +150,9 @@ class TestEffectiveWeight:
         ]
         layer = LoraLinear(W=np.zeros((1, 1)), alpha=1.0, heads=heads)
         np.testing.assert_array_equal(effective_weight(layer), [[2.0]])
-        # stale corrections B° A° = 1 and 2 come off before the shared s/N scale
-        stale = [(np.array([[1.0]]), np.array([[1.0]])), (np.array([[2.0]]), np.array([[1.0]]))]
+        # stale corrections B° A° = 1 and 2 come off before the shared s/N scale,
+        # given as (A°, B°) stacks shaped like the head stacks
+        stale = (np.array([[[1.0]], [[2.0]]]), np.array([[[1.0]], [[1.0]]]))
         np.testing.assert_array_equal(effective_weight(layer, stale), [[0.5]])
 
     def test_forward_consistency(self):
@@ -277,7 +278,8 @@ class TestProperties:
         acc = base.copy()
         for h in range(n_heads):
             acc += layer_out(layer, x, Mode.worker(h), correction=stale[h]) - base
-        np.testing.assert_allclose(acc, effective_weight(layer, stale) @ x, rtol=1e-10, atol=1e-10)
+        stacks = tuple(np.stack(f) for f in zip(*stale))
+        np.testing.assert_allclose(acc, effective_weight(layer, stacks) @ x, rtol=1e-10, atol=1e-10)
 
     @PROPERTY_SETTINGS
     @given(layer_shapes(max_heads=1))

@@ -222,6 +222,68 @@ class TestBatchedStep:
         assert moments_a == moments_b
 
 
+@st.composite
+def one_call_cases(draw):
+    """A `batched_cases` network and the heads one update trains: one head
+    index, a sub-range, or all heads, these in worker or in multi mode."""
+    case = draw(batched_cases())
+    n_heads = case["n_heads"]
+    kind = draw(st.sampled_from(["int", "range", "all"]))
+    if kind == "int":
+        return case, draw(st.integers(0, n_heads - 1)), False
+    if kind == "all":
+        return case, range(n_heads), draw(st.booleans())
+    start = draw(st.integers(0, n_heads - 1))
+    return case, range(start, draw(st.integers(start + 1, n_heads))), False
+
+
+class TestOneCallUpdate:
+    """`_train_heads` steps every factor of every layer in one optimizer call
+    over a head-major (k, P) array: bitwise the per-layer, per-factor
+    sequence of calls, with head j's moments in row j of its one state."""
+
+    @given(one_call_cases())
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_bitwise_per_factor_sequence(self, args):
+        case, heads, multi = args
+        rng = RandomSource(case["seed"]).child("data")
+        rows = len(heads) if isinstance(heads, range) else 1
+        lead = (rows,) if isinstance(heads, range) else ()
+        mode = Mode.multi() if multi else Mode.worker(heads)
+        (one, _, stale), (ref, _, _) = _batched_setup(case), _batched_setup(case)
+        span = heads if isinstance(heads, int) else slice(heads.start, heads.stop)
+        corr = ([(a[span], b[span]) for a, b in stale] if case["exact"] and not multi
+                else None)
+        opt_one, opt_ref = (KeyedOptimizer(case["optimizer"], OptimConfig(eta=0.05))
+                            for _ in range(2))
+        dims, b = case["dims"], case["batch"]
+        for t in range(sum(case["steps"])):
+            batch = Batch(inputs=rng.child("x", t).standard_normal(lead + (dims[0], b)),
+                          targets=rng.child("y", t).standard_normal(lead + (dims[-1], b)))
+            loss = _train_heads(one, opt_one, batch, mode, heads, corr)
+            ref_loss, grads = loss_and_grad(ref, batch, mode, corrections=corr)
+            for li, layer in enumerate(ref.layers):
+                A, B = layer.factors(heads)
+                A[...] = opt_ref.step((li, "A"), A, grads[li].dA[heads])
+                B[...] = opt_ref.step((li, "B"), B, grads[li].dB[heads])
+            assert np.asarray(loss).tobytes() == np.asarray(ref_loss).tobytes()
+        for la, lb in zip(one.layers, ref.layers):
+            for arr_a, arr_b in ((la.W, lb.W), (la.A, lb.A), (la.B, lb.B)):
+                assert arr_a.tobytes() == arr_b.tobytes()
+        if case["optimizer"] == "sgd":
+            assert not opt_one.states
+            return
+        state = opt_one.states[lte.HEADS_KEY]
+        assert list(opt_one.states) == [lte.HEADS_KEY]
+        assert state.step_count == opt_ref.states[0, "A"].step_count
+        for moment in ("m", "v"):
+            got = getattr(state, moment).reshape(rows, -1)
+            for j in range(rows):
+                want = [getattr(opt_ref.states[li, f], moment).reshape(rows, -1)[j]
+                        for li in range(len(ref.layers)) for f in "AB"]
+                assert got[j].tobytes() == np.concatenate(want).tobytes()
+
+
 class TestMerge:
     def test_zero_heads_no_op(self):
         net, _, workers, _ = tiny_setup()
@@ -336,7 +398,7 @@ class TestMerge:
                         policy=MergePolicy(period=1, reset_opt=True))
         net, task, _, rng = tiny_setup(n_heads=3)
         stream = lte.IidStream(task, [rng.child("stream", i) for i in range(3)])
-        step, workers = lte._lte_step(cfg, net, stream, 4)
+        step, workers, _ = lte._lte_step(cfg, net, stream, 4)
         step()
         opt = workers[0].opt
         assert all(w.opt is opt for w in workers)
@@ -434,9 +496,9 @@ class TestFactorCorrections:
         ]
         a0, b0 = stale[0].copy(), stale[1].copy()
         dense = sum(layer.B[h] @ layer.A[h] - b0[h] @ a0[h] for h in range(n_heads))
-        before = lte._effective_weights(net, workers)[0]
+        before = lte._effective_weights(net, [stale])[0]
         rec = merge(net, workers, exact_policy())
-        np.testing.assert_allclose(lte._effective_weights(net, workers)[0], before, rtol=0,
+        np.testing.assert_allclose(lte._effective_weights(net, [stale])[0], before, rtol=0,
                                    atol=1e-12)
         for h, w in enumerate(workers):
             a, b = w.corrections[0]
@@ -491,12 +553,13 @@ class TestFactorRecords:
         # the effective weight before the merge is bitwise W + delta, and
         # a reset_B or exact merge leaves it bitwise where it was
         dims, r, n_heads, name, seed = case
-        net, workers, _ = chain_setup(dims, r, n_heads, seed, exact=name == "exact")
-        before = lte._effective_weights(net, workers)
+        net, workers, stale = chain_setup(dims, r, n_heads, seed, exact=name == "exact")
+        stale = stale if name == "exact" else None
+        before = lte._effective_weights(net, stale)
         w_before = [layer.W.copy() for layer in net.layers]
         rec = merge(net, workers, MERGE_POLICIES[name], init=InitScheme("kaiming"),
                     rng=RandomSource(seed).child("merge"))
-        after = lte._effective_weights(net, workers)
+        after = lte._effective_weights(net, stale)
         for li, layer in enumerate(net.layers):
             assert layer.W.tobytes() == (w_before[li] + rec.delta[li]).tobytes()
             assert after[li].tobytes() == before[li].tobytes()
@@ -531,6 +594,37 @@ class TestFactorRecords:
         assert [d.tobytes() for d in rec.delta] == delta
 
 
+    @pytest.mark.parametrize("dims, w_init", [((6, 6), "zeros"), ((6, 5, 6), "kaiming")],
+                             ids=["1-layer", "2-layer"])
+    def test_run_shares_stale_records_with_the_previous_merge(self, dims, w_init):
+        # after an exact merge the stale stacks are the heads it copied, so
+        # a run's record k keeps record k-1's merged stacks as its stale
+        # ones; W is bitwise W0 plus every recomputed delta in turn, and no
+        # record array is a live head stack
+        cfg = ls_config(mode="lte", n_heads=3, dim=6, optimizer="adamw", eta=1e-2,
+                        total_steps=12, policy=exact_policy(period=3))
+        cfg = dataclasses.replace(cfg, arch=ArchSpec(dims=dims, w_init=w_init))
+        res = run_lte(cfg)
+        assert len(res.merges) == 4
+        w = [layer.W for layer in lte._build_network(cfg, RandomSource(cfg.seed), 3).layers]
+        for k, rec in enumerate(res.merges):
+            for li, layer in enumerate(res.network.layers):
+                if k:
+                    prev = res.merges[k - 1].factors[li]
+                    assert all(a is b for a, b in zip(rec.stale[li], prev))
+                else:
+                    assert not any(f.any() for f in rec.stale[li])
+                for arr in (*rec.factors[li], *rec.stale[li]):
+                    assert not any(np.shares_memory(arr, h) for h in (layer.A, layer.B))
+            w = [wl + d for wl, d in zip(w, rec.delta)]
+        for wl, layer in zip(w, res.network.layers):
+            assert wl.tobytes() == layer.W.tobytes()
+
+    def test_averaged_runs_record_no_stale_stacks(self):
+        res = run_lte(ls_config(mode="lte", n_heads=2, dim=4, total_steps=4, period=2))
+        assert [rec.stale for rec in res.merges] == [[None], [None]]
+
+
 @st.composite
 def increment_cases(draw):
     """(m, n, r, N, seed, exact): one Gaussian layer with N 1-4 heads."""
@@ -563,7 +657,7 @@ class TestInPlaceIncrement:
         inputs = [layer.W, layer.A, layer.B, *(stale or ())]
         before = [a.tobytes() for a in inputs]
         inc = head_increment(c, layer.A, layer.B, stale)
-        eff = effective_weight(layer, [w.corrections[0] for w in workers if w.use_correction])
+        eff = effective_weight(layer, stale)
         assert inc.tobytes() == (c * diff).tobytes()
         assert eff.tobytes() == want.tobytes()
         inc[...] = np.nan

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ltelab.layers import LoraHead, LoraLinear
 from ltelab.network import Batch, Mode, Network, fd_check, forward, loss_and_grad, loss_value
@@ -325,6 +327,90 @@ class TestGradients:
         err = fd_check(net, batch, Mode.worker(0), corrections=corr, num_params=40,
                        rng=rng.child("probe"))
         assert err <= 1e-6
+
+
+@st.composite
+def concat_cases(draw):
+    """A chain of 1-3 layers whose first layer has m != n, N 1-5 heads,
+    identity or ReLU gaps, a plain batch or an (N, n, b) shard stack."""
+    d0 = draw(st.integers(1, 6))
+    d1 = draw(st.integers(1, 6).filter(lambda d: d != d0))
+    dims = (d0, d1, *draw(st.lists(st.integers(1, 6), max_size=2)))
+    return {"dims": dims, "r": draw(st.integers(1, min(dims))), "n_heads": draw(st.integers(1, 5)),
+            "activation": draw(st.sampled_from(["identity", "relu"])),
+            "sharded": draw(st.booleans()), "batch": draw(st.integers(1, 4)),
+            "seed": draw(st.integers(0, 2**32 - 1))}
+
+
+def _per_head_reference(net, x, y, sharded):
+    """Multi-mode loss, head gradients and base gradients, built one head
+    term at a time: each layer adds c B_h (A_h x) per head h, the input
+    gradient c A_hᵀ (B_hᵀ u) per head, and on a shard stack head h's
+    gradient comes from slice h alone. dW (per slice on a stack) of every
+    layer below the top is u xᵀ for the input gradient u of the layer above."""
+    xs, zs = [], []
+    for layer, act in zip(net.layers, net.activations):
+        c = layer.s / layer.num_heads
+        z = layer.W @ x
+        for h in range(layer.num_heads):
+            z = z + c * (layer.B[h] @ (layer.A[h] @ x))
+        xs.append(x)
+        zs.append(z)
+        x = np.maximum(z, 0.0) if act == "relu" else z
+    b = x.shape[-1]
+    diff = x - y
+    loss = 0.5 / b * np.sum(diff * diff, axis=(-2, -1))
+    u = diff / b
+    dW, dA, dB = [None] * len(net.layers), [None] * len(net.layers), [None] * len(net.layers)
+    for i in reversed(range(len(net.layers))):
+        layer, x, z = net.layers[i], xs[i], zs[i]
+        c = layer.s / layer.num_heads
+        if net.activations[i] == "relu":
+            u = u * (z > 0.0)
+        dW[i] = u @ x.swapaxes(-1, -2)
+        a_grads, b_grads = [], []
+        for h in range(layer.num_heads):
+            uh, xh = (u[h], x[h]) if sharded else (u, x)
+            b_grads.append(c * (uh @ (layer.A[h] @ xh).T))
+            a_grads.append(c * ((layer.B[h].T @ uh) @ xh.T))
+        dA[i], dB[i] = np.stack(a_grads), np.stack(b_grads)
+        dx = layer.W.T @ u
+        for h in range(layer.num_heads):
+            dx = dx + c * (layer.A[h].T @ (layer.B[h].T @ u))
+        u = dx
+    return loss, dW, dA, dB, zs
+
+
+class TestConcatenatedMulti:
+    """Multi mode runs every head of a layer as one GEMM pair over the
+    concatenated factors; it is the per-head sum of terms to rounding."""
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(concat_cases())
+    def test_matches_per_head_terms(self, case):
+        rng = RandomSource(case["seed"])
+        dims, k = case["dims"], case["n_heads"]
+        net = random_net(rng.child("net"), dims=dims, n_heads=k, r=case["r"], alpha=1.5 * case["r"],
+                         activation=case["activation"], fan_scaled=True)
+        lead = (k,) if case["sharded"] else ()
+        x = rng.child("x").standard_normal(lead + (dims[0], case["batch"]))
+        y = rng.child("y").standard_normal(lead + (dims[-1], case["batch"]))
+        loss, dW, dA, dB, zs = _per_head_reference(net, x, y, case["sharded"])
+        if case["activation"] == "relu":
+            assume(all(np.abs(z).min() > 1e-9 for z in zs[:-1]))
+        out, _ = forward(net, x, Mode.multi())
+        np.testing.assert_allclose(out, zs[-1], rtol=1e-12, atol=1e-12)
+        got, grads = loss_and_grad(net, Batch(inputs=x, targets=y), Mode.multi(), include_base=True)
+        np.testing.assert_allclose(got, loss, rtol=1e-12, atol=1e-12)
+        for li, g in enumerate(grads):
+            if case["sharded"]:
+                a_got, b_got = g.dA[range(k)], g.dB[range(k)]
+            else:
+                a_got = np.stack([g.dA[h] for h in range(k)])
+                b_got = np.stack([g.dB[h] for h in range(k)])
+            np.testing.assert_allclose(g.dW, dW[li], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(a_got, dA[li], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(b_got, dB[li], rtol=1e-12, atol=1e-12)
 
 
 class TestFdCheck:
