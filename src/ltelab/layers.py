@@ -91,8 +91,9 @@ class LoraLinear:
     batched matmul. The stacks are written in place, never rebound;
     `heads[i]` reads and writes head i through them.
 
-    W is only ever replaced by merge operations; between merges it is shared
-    read-only, and each head is owned by exactly one worker.
+    In head training W is only ever replaced by merge operations; between
+    merges it is shared read-only, and each head is owned by exactly one
+    worker. Full training writes W in place.
     """
 
     def __init__(self, W: Matrix, alpha: float, heads: list[LoraHead]):
@@ -121,9 +122,11 @@ class LoraLinear:
         """(A, B) as views on the stacks: (r, n) and (m, r) for one head
         index, (k, r, n) and (k, m, r) for a range of k consecutive heads."""
         if not isinstance(heads, range):
+            if not 0 <= heads < self.num_heads:
+                raise IndexError(f"head {heads} is not one of the layer's {self.num_heads}")
             return self._factors[heads]
-        if heads.stop > self.num_heads:
-            raise IndexError(f"heads {heads} exceed the layer's {self.num_heads}")
+        if heads.start < 0 or heads.stop > self.num_heads:
+            raise IndexError(f"heads {heads} are outside the layer's {self.num_heads}")
         return self.A[heads.start:heads.stop], self.B[heads.start:heads.stop]
 
     @property

@@ -9,27 +9,28 @@ their stale share (s/N) B°_n A°_n in the forward pass, the merge adds
 (s/N) * sum_n (B_n A_n - B°_n A°_n) and refreshes (A°_n, B°_n). With T = 1
 the corrected scheme reproduces joint multi-head training exactly.
 
-Joint multi-head training (the T = 1 oracle) and full-weight training are
-the same loop with a different step and no merge: `run` is that one loop for
-every mode, around a per-mode step, driven by one seeded, deterministic
-configuration. Workers may conceptually run in parallel: between merges W is
-read-only, each head is owned by exactly one worker, and merge reduction sums
-heads in index order, so results never depend on worker execution order. The
-lte step emulates that parallelism with one batched step for all N workers
-on one Batch, whose slice j the run's one stream draws from worker j's own
-Philox stream or pool shard. Every head update (one worker's `local_step`,
-the lte step, the joint multi-head step) is one `loss_and_grad` call and one
-optimizer call over every trained factor of every layer, gathered head-major
+`run` is one loop for every mode, driven by one seeded, deterministic
+configuration. Each step draws one (k, ...) stack from the run's one stream
+and makes one `_train_heads` call: in worker mode over all N heads for lte,
+in multi mode over the N shards for lora and mhlora (joint multi-head
+training, the T = 1 oracle), and in full mode on slice 0 for full. lte then
+folds the heads into W every T steps. Workers may conceptually run in
+parallel: between merges W is read-only, each head is owned by exactly one
+worker, and a merge sums heads in index order, so results never depend on
+worker execution order; slice j of a draw comes from worker j's own Philox
+stream or pool shard. `_train_heads` is one `loss_and_grad` call and one
+optimizer call over every trained array of every layer, gathered head-major
 into one (k, P) array, so the moments are one (k, P) state whose row j is
-head j's. A merge adds to W the increment `head_increment` takes from the
-head stacks in one GEMM (two in exact mode), and its record keeps copies of
-those stacks, not the dense m x n increment; in a run, an exact record's
-stale factors are the previous record's merged factors, shared, not copied.
+head j's. A merge (`_fold`) adds to W the increment `head_increment` takes
+from the head stacks in one GEMM (two in exact mode), and its record keeps
+copies of those stacks, not the dense m x n increment. In an exact run
+those copies are also the next interval's stale factors. `local_step` and
+`merge` drive hand-built `WorkerState`s through the same update and fold.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -263,9 +264,9 @@ def config_from_dict(raw: dict) -> RunConfig:
 
 class KeyedOptimizer:
     """SGD or AdamW over a keyed family of parameters, one state per key.
-    Head training steps all its factors under one key, HEADS_KEY, as one
-    head-major (k, P) array (see `_train_heads`), so row j of that state
-    is head j's moments; full training keys each layer's W by (li, "W")."""
+    `_train_heads` steps every trained array under one key, HEADS_KEY, as
+    one head-major (k, P) array, so row j of that state is head j's
+    moments; in full training that array is every layer's W, flattened."""
 
     def __init__(self, kind: str, cfg: OptimConfig):
         if kind not in OPTIMIZERS:
@@ -324,13 +325,11 @@ class PooledStream:
 
 @dataclass
 class WorkerState:
-    """One worker: its head index, private stream, optimizer, and per-layer
-    stale corrections, the factors (A°, B°) of its head at the last merge.
-    The runner's workers have no stream: worker j trains on slice j of the
-    run's one stream. Their (A°, B°) are views on stacks shaped like the head
-    stacks, refreshed in place by merge, and they share one optimizer over
-    the head stacks, whose one state under HEADS_KEY is (N, P): worker j's
-    moments are its row j."""
+    """One hand-driven worker, for `local_step` and `merge`: its head index,
+    private stream, optimizer, and per-layer stale corrections, the factors
+    (A°, B°) of its head at the last merge, which `merge` refreshes in
+    place. `run` builds none: it steps all heads at once and keeps its
+    stale factors in its merge records."""
 
     head_index: int
     stream: object
@@ -345,11 +344,12 @@ class WorkerState:
 class UpdateRecord:
     """What one merge added to the base weights, kept as factors: per layer
     the coefficient c = s/N, copies of the merged head stacks (A, B), and in
-    exact mode copies of the stale stacks (A°, B°) the merge subtracted
-    (None otherwise). In a run, record k's stale stacks are bitwise record
-    k-1's merged stacks, so `run` shares those instead: a record's arrays
-    are never shared with the live heads or stale stacks, only with the
-    neighbouring record. delta[layer] recomputes the dense increment
+    exact mode the stale stacks (A°, B°) the merge subtracted (None
+    otherwise); no array aliases a live head stack. In an exact run a
+    record's factors are the next interval's stale stacks, so they are
+    read-only and shared with the next record, whose stale they are; the
+    first record's stale stacks are zeros. `merge` records fresh stacks of
+    its workers' corrections. delta[layer] recomputes the dense increment
     c (B A - B° A°) with `head_increment`, bitwise what the merge added to
     W. Worker n's contribution, s (B_n A_n - B°_n A°_n), comes from slice n
     of each stack."""
@@ -412,37 +412,71 @@ def local_step(worker: WorkerState, net: Network, batch: Batch) -> float:
     Base weights and other heads are untouched; in exact-correction mode the
     stale corrections B° A° are subtracted inside the forward pass.
     """
-    h = worker.head_index
     corr = worker.corrections if worker.use_correction else None
-    loss = _train_heads(net, worker.opt, batch, Mode.worker(h), h, corr)
+    loss = _train_heads(net, worker.opt, batch, Mode.worker(worker.head_index), corr)
     worker.steps_since_merge += 1
     worker.total_steps += 1
     return float(loss)
 
 
-def _train_heads(net: Network, opt: KeyedOptimizer, batch: Batch, mode: Mode,
-                 heads: int | range, corrections=None):
+def _train_heads(net: Network, opt: KeyedOptimizer, batch: Batch, mode: Mode, corrections=None):
     """One loss_and_grad call in `mode`, then one optimizer call, keyed
-    HEADS_KEY, for every trained factor of every layer. The factors of
-    `heads` (one head, or a range of k) and their gradients are gathered
-    head-major: row j holds head j's A and B of layer 0, then of layer 1,
-    and so on, flattened, a (k, P) array with P = sum over layers of
-    r (n + m), or one (P,) vector for an int head. The result is scattered
-    back into the stacks in place. The optimizer is element-wise, so row j
-    moves exactly as head j alone would, and its moments are row j of the
-    state. Returns the loss, one per slice for a stacked batch."""
+    HEADS_KEY, for every array the mode trains: every layer's W in full
+    mode, else the factors of the mode's heads (one head, a range of k, or
+    in multi mode all N). They and their gradients are gathered head-major:
+    row j holds head j's A and B of layer 0, then of layer 1, and so on,
+    flattened, a (k, P) array with P = sum over layers of r (n + m), or one
+    (P,) vector for one head or for the W's. The result is written back in
+    place. The optimizer is element-wise, so row j moves exactly as head j
+    alone would, and its moments are row j of the state. Returns the loss,
+    one per slice for a stacked batch."""
     loss, grads = loss_and_grad(net, batch, mode, corrections=corrections)
-    shape = (len(heads), -1) if isinstance(heads, range) else (-1,)
-    # the factors are slices of C-contiguous stacks, so these are views
-    flat = [f.reshape(shape) for layer in net.layers for f in layer.factors(heads)]
-    dflat = [d[heads].reshape(shape) for g in grads for d in (g.dA, g.dB)]
+    if mode.kind == "full":
+        params, dparams, rows = [layer.W for layer in net.layers], [g.dW for g in grads], ()
+    else:
+        heads = range(net.layers[0].num_heads) if mode.kind == "multi" else mode.head
+        params = [f for layer in net.layers for f in layer.factors(heads)]
+        dparams = [d[heads] for g in grads for d in (g.dA, g.dB)]
+        rows = (len(heads),) if isinstance(heads, range) else ()
+    flat = [p.reshape(rows + (-1,)) for p in params]
+    dflat = [d.reshape(rows + (-1,)) for d in dparams]
     new = opt.step(HEADS_KEY, np.concatenate(flat, axis=-1), np.concatenate(dflat, axis=-1))
     start = 0
-    for f in flat:
+    for p, f in zip(params, flat):
         end = start + f.shape[-1]
-        f[...] = new[..., start:end]
+        p[...] = new[..., start:end].reshape(p.shape)
         start = end
     return loss
+
+
+# per layer, the (A°, B°) stacks of the workers' stale corrections, or None
+Stale = list[tuple[Matrix, Matrix]] | None
+
+
+def _fold(net: Network, policy: MergePolicy, merge_id: int, step: int,
+          init: InitScheme | None, rng: RandomSource | None, stale: Stale) -> UpdateRecord:
+    """Fold every head into the base weights, then apply the resets.
+
+    W takes `head_increment` of the heads, minus in exact mode the stale
+    stacks (per layer (A°, B°), or None), so it becomes bitwise the
+    effective weight from before the merge. Heads are summed in index
+    order, so the result is independent of worker scheduling. The record
+    keeps copies of the heads from before the resets, and `stale` itself.
+    """
+    coefs, factors = [], []
+    for li, layer in enumerate(net.layers):
+        merged = (layer.A.copy(), layer.B.copy())
+        c = layer.s / layer.num_heads
+        layer.W = layer.W + head_increment(c, *merged, stale[li] if stale else None)
+        coefs.append(c)
+        factors.append(merged)
+        if policy.reset_B:
+            layer.B[...] = 0.0
+        if policy.reset_A:
+            for h in range(layer.num_heads):
+                layer.A[h] = init_matrix(layer.rank, layer.n, init, rng.child(merge_id, li, h))
+    return UpdateRecord(merge_id=merge_id, step=step, coefs=coefs, factors=factors,
+                        stale=list(stale) if stale else [None] * len(net.layers))
 
 
 def merge(
@@ -454,14 +488,12 @@ def merge(
     init: InitScheme | None = None,
     rng: RandomSource | None = None,
 ) -> UpdateRecord:
-    """Fold every worker's head into the base weights, then apply resets.
-
-    W takes `head_increment` of the heads (minus, in exact mode, the stale
-    factors, which are then refreshed from the heads), so it becomes bitwise
-    the effective weight from before the merge. Equal step counts and, in
-    exact mode, every correction's shapes are checked before anything is
-    written. Heads are summed in index order, so the result is independent
-    of worker scheduling.
+    """Fold every worker's head into the base weights with `_fold`, the
+    merge `run` makes, on fresh stacks of the workers' stale corrections in
+    exact mode. Then refresh those corrections from the merged heads, clear
+    the workers' optimizers (reset_opt) and zero their step counters. Equal
+    step counts, full head coverage and, in exact mode, every correction's
+    shapes are checked before anything is written.
     """
     counts = {w.steps_since_merge for w in workers}
     if len(counts) != 1:
@@ -480,34 +512,19 @@ def merge(
                 problem = correction_mismatch(layer, w.corrections[li], w.head_index)
                 if problem:
                     raise ValueError(f"worker {w.head_index}, layer {li}: {problem}")
-
-    heads = range(len(workers))
-    coefs, factors, stales = [], [], []
-    for li, layer in enumerate(net.layers):
-        A, B = layer.factors(heads)
-        merged = (A.copy(), B.copy())
-        stale = None
-        if policy.exact_correction:
-            pairs = [w.corrections[li] for w in workers]
-            stale = tuple(np.stack(f) for f in zip(*pairs))  # copies, before the refresh
-            for (a0, b0), a, b in zip(pairs, A, B):
-                a0[...], b0[...] = a, b
-        c = layer.s / len(heads)
-        layer.W = layer.W + head_increment(c, *merged, stale)
-        coefs.append(c)
-        factors.append(merged)
-        stales.append(stale)
-        if policy.reset_B:
-            B[...] = 0.0
-        if policy.reset_A:
-            for h in heads:
-                A[h] = init_matrix(A.shape[1], A.shape[2], init, rng.child(merge_id, li, h))
-    if policy.reset_opt:
-        for w in workers:
-            w.opt.reset_states()
+    stale = None
+    if policy.exact_correction:
+        stale = [tuple(np.stack(f) for f in zip(*(w.corrections[li] for w in workers)))
+                 for li in range(len(net.layers))]
+    rec = _fold(net, policy, merge_id, step, init, rng, stale)
     for w in workers:
+        if policy.exact_correction:
+            for (a0, b0), (A, B) in zip(w.corrections, rec.factors):
+                a0[...], b0[...] = A[w.head_index], B[w.head_index]
+        if policy.reset_opt:
+            w.opt.reset_states()
         w.steps_since_merge = 0
-    return UpdateRecord(merge_id=merge_id, step=step, coefs=coefs, factors=factors, stale=stales)
+    return rec
 
 
 def _build_network(cfg: RunConfig, root: RandomSource, n_heads: int) -> Network:
@@ -540,10 +557,6 @@ def _make_stream(cfg: RunConfig, task: LeastSquaresTask, root: RandomSource, k: 
     xt = np.ascontiguousarray(x.T)
     del x
     return PooledStream(xt.T, np.ascontiguousarray(y.T).T, k)
-
-
-# per layer, the (A°, B°) stacks of the workers' stale corrections, or None
-Stale = list[tuple[Matrix, Matrix]] | None
 
 
 def _effective_weights(net: Network, stale: Stale = None) -> list[Matrix]:
@@ -588,92 +601,21 @@ def _rank(m: Matrix) -> float:
     return effective_rank(m) if np.any(m != 0.0) else float("nan")
 
 
-# Each mode's `_*_step` function takes (cfg, net, the run's stream, per-slice
-# batch size) and returns the step, which trains on one draw of the stream's
-# (k, ...) stack and returns that step's row of losses, plus the workers to
-# merge (none outside lte) and the per-layer (A°, B°) stacks their stale
-# corrections view (None unless they use them).
-Step = Callable[[], Sequence[float]]
-
-
-def _lte_step(
-    cfg: RunConfig, net: Network, stream, batch: int
-) -> tuple[Step, list[WorkerState], Stale]:
-    """One worker per head, worker j training on slice j of the stream; a
-    step is one batched local step of all N workers, with their (A°, B°)
-    as (N, ...) stacks and their optimizer moments as the rows of the one
-    (N, P) state of the optimizer they share."""
-    opt = KeyedOptimizer(cfg.optimizer, cfg.optim)
-    heads = range(cfg.n_heads)
-    stale = [(np.zeros_like(layer.A), np.zeros_like(layer.B)) for layer in net.layers]
-    workers = [
-        WorkerState(
-            head_index=i,
-            stream=None,
-            opt=opt,
-            corrections=[(a[i], b[i]) for a, b in stale],
-            use_correction=cfg.policy.exact_correction,
-        )
-        for i in heads
-    ]
-    corrections = stale if cfg.policy.exact_correction else None
-
-    def step():
-        losses = _train_heads(net, opt, Batch(*stream.next(batch)), Mode.worker(heads), heads,
-                              corrections)
-        for w in workers:
-            w.steps_since_merge += 1
-            w.total_steps += 1
-        return losses
-
-    return step, workers, corrections
-
-
-def _mhlora_step(
-    cfg: RunConfig, net: Network, stream, batch: int
-) -> tuple[Step, list[WorkerState], Stale]:
-    """Joint multi-head training: each head takes its gradient from its own
-    shard through the shared multi-head forward, and all heads update at
-    once. A step is one multi-mode call on the stream's stack of the N
-    shards and one optimizer call over every layer's head factors."""
-    opt = KeyedOptimizer(cfg.optimizer, cfg.optim)
-    heads = range(cfg.n_heads)
-
-    def step():
-        return _train_heads(net, opt, Batch(*stream.next(batch)), Mode.multi(), heads)
-
-    return step, [], None
-
-
-def _full_step(
-    cfg: RunConfig, net: Network, stream, batch: int
-) -> tuple[Step, list[WorkerState], Stale]:
-    """Standard training of the base weights themselves (no heads)."""
-    opt = KeyedOptimizer(cfg.optimizer, cfg.optim)
-
-    def step():
-        x, y = stream.next(batch)
-        loss, grads = loss_and_grad(net, Batch(x[0], y[0]), Mode.full())
-        for li, layer in enumerate(net.layers):
-            layer.W = opt.step((li, "W"), layer.W, grads[li].dW)
-        return [loss]
-
-    return step, [], None
-
-
-_STEPS = {"full": _full_step, "lora": _mhlora_step, "mhlora": _mhlora_step, "lte": _lte_step}
-
-
 def run(cfg: RunConfig) -> RunResult:
-    """Train in cfg.mode: the one loop every mode shares, around the mode's
-    step. Snapshots come at step 0, every snapshot_interval steps and at the
-    last step; the default interval is the merge period, or the whole run
-    in modes that never merge. When there are workers they merge every
-    period steps; population MSE is evaluated after every step where it is
-    defined, and stop_mse ends the run at the first step at or under it.
+    """Train in cfg.mode, in the one loop every mode shares. Each step
+    draws one stack from the run's stream and makes one `_train_heads`
+    call under one optimizer: in worker mode over all N heads for lte, in
+    multi mode over the N shards for lora and mhlora, in full mode on
+    slice 0 for full. lte folds its heads into W every merge period
+    (`_fold`, with reset_opt clearing the optimizer); in an exact run the
+    stale stacks start at zero and are then the last record's factors.
 
-    Each step runs in this order: the mode's step, the merge, one pass over
-    the layers' effective weights (when a snapshot is due or MSE is
+    Snapshots come at step 0, every snapshot_interval steps and at the last
+    step; the default interval is the merge period, or the whole run in
+    modes that never merge. Population MSE is evaluated after every step
+    where it is defined, and stop_mse ends the run at the first step at or
+    under it. Each step runs in this order: the update, the merge, one pass
+    over the layers' effective weights (when a snapshot is due or MSE is
     evaluated), the snapshot, the evaluation; snapshot and evaluation read
     that one pass. A snapshot's alignment is of the heads as trained, so on
     a merge step it comes from the merge record. From an all-zero base the
@@ -685,9 +627,16 @@ def run(cfg: RunConfig) -> RunResult:
     net = _build_network(cfg, root, n_heads)
     k = max(n_heads, 1)
     batch = cfg.batch_size // k
-    step_fn, workers, stale = _STEPS[cfg.mode](cfg, net, _make_stream(cfg, task, root, k), batch)
+    stream = _make_stream(cfg, task, root, k)
+    opt = KeyedOptimizer(cfg.optimizer, cfg.optim)
+    mode = {"full": Mode.full(), "lora": Mode.multi(), "mhlora": Mode.multi(),
+            "lte": Mode.worker(range(k))}[cfg.mode]
+    merging = cfg.mode == "lte"
+    stale = None
+    if merging and cfg.policy.exact_correction:
+        stale = [(np.zeros_like(layer.A), np.zeros_like(layer.B)) for layer in net.layers]
     period = cfg.merge_period
-    interval = cfg.snapshot_interval or (period if workers else cfg.total_steps)
+    interval = cfg.snapshot_interval or (period if merging else cfg.total_steps)
     merge_rng = root.child("merge")
     record_params = cfg.record_params and n_heads > 0
     do_eval = _eval_enabled(cfg)
@@ -721,15 +670,18 @@ def run(cfg: RunConfig) -> RunResult:
     eval_mse = []
     stopped_at = None
     for step in range(1, cfg.total_steps + 1):
-        losses.append(step_fn())
-        if workers and step % period == 0:
-            rec = merge(net, workers, cfg.policy, merge_id=len(merges) + 1, step=step,
-                        init=cfg.init, rng=merge_rng)
-            if stale and merges:
-                # the last merge refreshed the stale stacks from the heads it
-                # copied into its record: share that copy, bitwise this one
-                rec.stale = list(merges[-1].factors)
-            merges.append(rec)
+        x, y = stream.next(batch)
+        if mode.kind == "full":
+            x, y = x[0], y[0]
+        # a row of one loss per slice; full mode's one loss is a row of one
+        losses.append(np.atleast_1d(_train_heads(net, opt, Batch(x, y), mode, stale)))
+        if merging and step % period == 0:
+            merges.append(_fold(net, cfg.policy, len(merges) + 1, step, cfg.init, merge_rng,
+                                stale))
+            if stale:
+                stale = merges[-1].factors
+            if cfg.policy.reset_opt:
+                opt.reset_states()
         snap_due = step % interval == 0
         weights = _effective_weights(net, stale) if snap_due or do_eval else None
         if snap_due:

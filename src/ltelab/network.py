@@ -73,6 +73,9 @@ class Mode:
         ):
             raise ValueError(f"mode {self.kind!r}: heads {self.head} must be a nonempty "
                              "ascending run, and only worker mode takes one")
+        if needs_head and not isinstance(self.head, range) and self.head < 0:
+            # a negative index would silently select a head from the end
+            raise ValueError(f"mode {self.kind!r}: head index must be >= 0, got {self.head}")
 
     @classmethod
     def full(cls) -> "Mode":
@@ -331,26 +334,20 @@ def loss_value(net: Network, batch: Batch, mode: Mode, corrections=None) -> floa
 
 
 def loss_and_grad(
-    net: Network,
-    batch: Batch,
-    mode: Mode,
-    corrections=None,
-    include_base: bool | None = None,
+    net: Network, batch: Batch, mode: Mode, corrections=None
 ) -> tuple[float | np.ndarray, list[LayerGradients]]:
-    """Loss plus gradients for every parameter the mode trains.
+    """Loss plus gradients for every parameter the mode trains: dW in full
+    mode, the active heads' dA and dB otherwise.
 
-    include_base forces dW on or off regardless of mode (default: on only in
-    full mode). For a range of worker heads the loss is the vector of the k
-    workers' losses. For an (N, n, b) stack of shards in multi mode it is
-    the vector of the N shards' losses; the input gradient runs through all
-    heads, but head j's gradient comes from shard j alone, keyed by range(N)
-    as one (N, ...) stack per factor, as batched worker mode keys it.
+    For a range of worker heads the loss is the vector of the k workers'
+    losses. For an (N, n, b) stack of shards in multi mode it is the vector
+    of the N shards' losses; the input gradient runs through all heads, but
+    head j's gradient comes from shard j alone, keyed by range(N) as one
+    (N, ...) stack per factor, as batched worker mode keys it.
     """
     sharded = _sharded(mode, batch.inputs)
     out, cache = _forward(net, batch.inputs, mode, corrections)
     loss_val, u = _loss_and_output_grad(out, batch, net.loss)
-    if include_base is None:
-        include_base = mode.kind == "full"
     grads = [LayerGradients() for _ in net.layers]
     for i in reversed(range(len(net.layers))):
         layer = net.layers[i]
@@ -358,7 +355,7 @@ def loss_and_grad(
         if net.activations[i] == "relu":
             u = u * (z > 0.0)
         g = grads[i]
-        if include_base:
+        if mode.kind == "full":
             g.dW = u @ _t(x)
         # slice j of a shard stack trains head j only: one stacked entry
         head_terms = [(range(layer.num_heads), terms[0][1], layer.A, layer.B)] if sharded else terms
@@ -379,11 +376,11 @@ def _input_grad(layer: LoraLinear, gemms: list[Gemm], u: Matrix) -> Matrix:
     return dx
 
 
-def _trainable_slots(net: Network, mode: Mode, include_base: bool):
+def _trainable_slots(net: Network, mode: Mode):
     """(layer index, kind, head index, array) for every trained tensor."""
     slots = []
     for i, layer in enumerate(net.layers):
-        if include_base:
+        if mode.kind == "full":
             slots.append((i, "W", None, layer.W))
         for h, _, A, B in mode.terms(layer):
             slots.append((i, "A", h, A))
@@ -417,9 +414,8 @@ def fd_check(
     if _sharded(mode, batch.inputs):
         raise ValueError("fd_check takes no multi-mode shard stack: its head gradients "
                          "differentiate no single loss")
-    include_base = mode.kind == "full"
-    _, grads = loss_and_grad(net, batch, mode, corrections, include_base=include_base)
-    slots = _trainable_slots(net, mode, include_base)
+    _, grads = loss_and_grad(net, batch, mode, corrections)
+    slots = _trainable_slots(net, mode)
     coords = []
     for s_idx, (li, kind, h_idx, arr) in enumerate(slots):
         for flat in range(arr.size):

@@ -61,6 +61,17 @@ class TestConstruction:
         B[...] = 0.0
         assert not layer.A[1:].any() and not layer.B[1:].any() and layer.A[0].all()
 
+    def test_factors_out_of_range_named(self):
+        # an index past the end, or a negative one, names the layer's head
+        # count instead of indexing a tuple or picking a head from the end
+        layer = random_layer(RandomSource(27), n_heads=3)
+        for bad in (3, -1):
+            with pytest.raises(IndexError, match=f"head {bad} is not one of the layer's 3"):
+                layer.factors(bad)
+        for bad in (range(2, 4), range(-1, 1)):
+            with pytest.raises(IndexError, match="are outside the layer's 3"):
+                layer.factors(bad)
+
     def test_scale_is_alpha_over_rank(self):
         layer = random_layer(RandomSource(2), m=64, n=64, r=64, n_heads=1, alpha=4096.0)
         assert layer.s == 64.0
@@ -209,10 +220,9 @@ class TestBackward:
         x = RandomSource(23).standard_normal((4, 3))
         net = Network([layer])
         batch = Batch(inputs=x, targets=layer_out(layer, x, Mode.single(0)))
-        _, grads = loss_and_grad(net, batch, Mode.single(0), include_base=True)
+        _, grads = loss_and_grad(net, batch, Mode.single(0))
         np.testing.assert_array_equal(grads[0].dA[0], np.zeros((2, 4)))
         np.testing.assert_array_equal(grads[0].dB[0], np.zeros((5, 2)))
-        np.testing.assert_array_equal(grads[0].dW, np.zeros((5, 4)))
 
     def test_scalar_chain_rule(self):
         # 1-D case at s = 1 with upstream u = 0.5: dB = u*a*x, dA = b*u*x

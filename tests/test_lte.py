@@ -135,9 +135,9 @@ def batched_cases(draw):
 
 def _batched_setup(case, shared_opt=False):
     """Network, workers and per-layer (A°, B°) stale-correction stacks, shaped
-    like the head stacks, that the workers' corrections are views on, as
-    run_lte builds them; with shared_opt every worker holds the same
-    optimizer, as in run_lte, else each worker has its own."""
+    like the head stacks, that the workers' corrections are views on; with
+    shared_opt every worker holds the same optimizer, as run_lte's one
+    optimizer serves every head, else each worker has its own."""
     rng = RandomSource(case["seed"])
     n_heads, r, dims = case["n_heads"], case["r"], case["dims"]
     layers = []
@@ -202,7 +202,7 @@ class TestBatchedStep:
                         stack = Batch(inputs=np.stack([bt.inputs for bt in batches]),
                                       targets=np.stack([bt.targets for bt in batches]))
                         losses.append(_train_heads(net, workers[0].opt, stack,
-                                                   Mode.worker(heads), heads, corr))
+                                                   Mode.worker(heads), corr))
                     else:
                         row = np.zeros(n_heads)
                         for i in order_rng.sample(heads, n_heads):
@@ -260,7 +260,7 @@ class TestOneCallUpdate:
         for t in range(sum(case["steps"])):
             batch = Batch(inputs=rng.child("x", t).standard_normal(lead + (dims[0], b)),
                           targets=rng.child("y", t).standard_normal(lead + (dims[-1], b)))
-            loss = _train_heads(one, opt_one, batch, mode, heads, corr)
+            loss = _train_heads(one, opt_one, batch, mode, corr)
             ref_loss, grads = loss_and_grad(ref, batch, mode, corrections=corr)
             for li, layer in enumerate(ref.layers):
                 A, B = layer.factors(heads)
@@ -393,23 +393,10 @@ class TestMerge:
         merge(net, workers, MergePolicy(period=1, reset_opt=True))
         assert not workers[0].opt.states
 
-    def test_reset_opt_clears_the_runners_shared_optimizer(self):
-        cfg = ls_config(dim=4, n_heads=3, optimizer="adamw",
-                        policy=MergePolicy(period=1, reset_opt=True))
-        net, task, _, rng = tiny_setup(n_heads=3)
-        stream = lte.IidStream(task, [rng.child("stream", i) for i in range(3)])
-        step, workers, _ = lte._lte_step(cfg, net, stream, 4)
-        step()
-        opt = workers[0].opt
-        assert all(w.opt is opt for w in workers)
-        assert opt.states and all(st.m.shape[0] == 3 for st in opt.states.values())
-        merge(net, workers, cfg.policy)
-        assert not opt.states
-
     def test_stacked_and_separate_corrections_merge_alike(self):
-        # the runner's (A°, B°) are views on stacks shaped like the head
-        # stacks, tiny_setup's are independent arrays; two exact merges read
-        # and refresh both alike
+        # (A°, B°) as views on stacks shaped like the head stacks, or as
+        # tiny_setup's independent arrays: two exact merges read and refresh
+        # both alike
         runs = []
         for stacked in (True, False):
             net, _, workers, rng = tiny_setup(n_heads=3, exact=True)
@@ -508,8 +495,8 @@ class TestFactorCorrections:
 
 def chain_setup(dims, r, n_heads, seed, exact):
     """An identity chain of Gaussian layers d_i -> d_{i+1} with Gaussian
-    heads, and the runner's workers: one shared optimizer, their (A°, B°)
-    views on Gaussian stale stacks shaped like each layer's head stacks."""
+    heads, and workers sharing one optimizer, their (A°, B°) views on
+    Gaussian stale stacks shaped like each layer's head stacks."""
     rng = RandomSource(seed)
     layers = []
     for li, (n, m) in enumerate(zip(dims, dims[1:])):
@@ -587,8 +574,7 @@ class TestFactorRecords:
         for t in range(2):
             batch = Batch(inputs=rng.child("x", t).standard_normal((n_heads, dims[0], 3)),
                           targets=rng.child("y", t).standard_normal((n_heads, dims[-1], 3)))
-            _train_heads(net, workers[0].opt, batch, Mode.worker(heads), heads,
-                         stale if exact else None)
+            _train_heads(net, workers[0].opt, batch, Mode.worker(heads), stale if exact else None)
         merge(net, workers, MERGE_POLICIES[name], merge_id=2, init=InitScheme("kaiming"),
               rng=RandomSource(seed).child("merge"))
         assert [d.tobytes() for d in rec.delta] == delta
@@ -817,6 +803,87 @@ class TestBatchedMhlora:
         for la, lb in zip(res.network.layers, net.layers):
             for arr_a, arr_b in ((la.W, lb.W), (la.A, lb.A), (la.B, lb.B)):
                 assert arr_a.tobytes() == arr_b.tobytes()
+
+
+@st.composite
+def lte_configs(draw):
+    """Small lte runs: N 1-4, depth 1-2, r up to the narrowest dim, T 1-3,
+    SGD or AdamW, averaged (optionally with reset_A) or exact merges, with
+    or without reset_opt, on i.i.d. or pooled data."""
+    n_heads = draw(st.integers(1, 4))
+    dims = tuple(draw(st.lists(st.integers(2, 6), min_size=2, max_size=3)))
+    optimizer = draw(st.sampled_from(["sgd", "adamw"]))
+    period, reset_opt = draw(st.integers(1, 3)), draw(st.booleans())
+    if draw(st.booleans()):
+        policy = exact_policy(period=period, reset_opt=reset_opt)
+    else:
+        policy = MergePolicy(period=period, reset_A=draw(st.booleans()), reset_opt=reset_opt)
+    return RunConfig(
+        mode="lte",
+        dataset=DatasetSpec(m=dims[-1], n=dims[0], rank=draw(st.integers(1, min(dims[0], dims[-1]))),
+                            pool=draw(st.sampled_from([None, 3 * n_heads + 1]))),
+        arch=ArchSpec(dims=dims, w_init=draw(st.sampled_from(["zeros", "kaiming"]))),
+        n_heads=n_heads,
+        rank=draw(st.integers(1, min(dims))),
+        optimizer=optimizer,
+        optim=OptimConfig(eta=0.05 if optimizer == "sgd" else 1e-2, weight_decay=0.01),
+        policy=policy,
+        batch_size=n_heads * draw(st.integers(1, 3)),
+        total_steps=draw(st.integers(2, 7)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def _lte_by_hand(cfg):
+    """Reference lte run from the public worker API alone: one WorkerState
+    per head with its own optimizer and zero stale factors, N `local_step`
+    calls per step on the workers' own draws, and a `merge` every period.
+    Returns the network, the (steps, N) losses and the merge records."""
+    root = RandomSource(cfg.seed)
+    task = gen_least_squares(cfg.dataset.m, cfg.dataset.n, cfg.dataset.rank, root.child("task"))
+    net = lte._build_network(cfg, root, cfg.n_heads)
+    draws = _worker_draws(task, root, cfg.n_heads, cfg.dataset.pool,
+                          cfg.batch_size // cfg.n_heads)
+    workers = [
+        WorkerState(head_index=i, stream=None, opt=KeyedOptimizer(cfg.optimizer, cfg.optim),
+                    corrections=[(np.zeros(layer.A.shape[1:]), np.zeros(layer.B.shape[1:]))
+                                 for layer in net.layers],
+                    use_correction=cfg.policy.exact_correction)
+        for i in range(cfg.n_heads)
+    ]
+    merge_rng = root.child("merge")
+    losses, records = [], []
+    for step in range(1, cfg.total_steps + 1):
+        losses.append([local_step(w, net, batch) for w, batch in zip(workers, next(draws))])
+        if step % cfg.merge_period == 0:
+            records.append(merge(net, workers, cfg.policy, merge_id=len(records) + 1, step=step,
+                                 init=cfg.init, rng=merge_rng))
+    return net, np.array(losses), records
+
+
+class TestRunMatchesHandDrivenWorkers:
+    """`run` steps every head at once and folds them without worker objects;
+    hand-driven `WorkerState`s through `local_step` and `merge` reach the
+    same bytes, so both entry points share one update and one fold."""
+
+    @given(lte_configs())
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_bitwise_equal(self, cfg):
+        res = run_lte(cfg)
+        net, losses, records = _lte_by_hand(cfg)
+        assert np.isfinite(losses).all()
+        assert res.losses.tobytes() == losses.tobytes()
+        for la, lb in zip(res.network.layers, net.layers):
+            for arr_a, arr_b in ((la.W, lb.W), (la.A, lb.A), (la.B, lb.B)):
+                assert arr_a.tobytes() == arr_b.tobytes()
+        assert len(res.merges) == len(records) == cfg.total_steps // cfg.merge_period
+        for got, want in zip(res.merges, records):
+            assert (got.merge_id, got.step, got.coefs) == (want.merge_id, want.step, want.coefs)
+            for pair_a, pair_b in zip(got.factors + got.stale, want.factors + want.stale):
+                assert (pair_a is None) == (pair_b is None)
+                for f_a, f_b in zip(pair_a or (), pair_b or ()):
+                    assert f_a.tobytes() == f_b.tobytes()
+            assert [d.tobytes() for d in got.delta] == [d.tobytes() for d in want.delta]
 
 
 class TestPolicy:

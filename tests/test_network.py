@@ -64,20 +64,13 @@ class TestForward:
         assert np.all(out >= 0)
 
     def test_mode_consistency_with_zero_heads(self):
-        # all-zero heads: every mode computes the same function and base grads
+        # all-zero heads: every mode computes the same function
         net = random_net(RandomSource(6), dims=(4, 5), zero_b=True)
         batch = mse_batch(RandomSource(7), net)
-        outs = []
-        dws = []
-        for mode in (Mode.full(), Mode.single(0), Mode.multi(), Mode.worker(1)):
-            out, _ = forward(net, batch.inputs, mode)
-            outs.append(out)
-            _, grads = loss_and_grad(net, batch, mode, include_base=True)
-            dws.append(grads[0].dW)
+        outs = [forward(net, batch.inputs, mode)[0]
+                for mode in (Mode.full(), Mode.single(0), Mode.multi(), Mode.worker(1))]
         for o in outs[1:]:
             np.testing.assert_array_equal(o, outs[0])
-        for d in dws[1:]:
-            np.testing.assert_array_equal(d, dws[0])
 
     def test_input_dim_checked(self):
         net = random_net(RandomSource(8))
@@ -94,6 +87,10 @@ class TestForward:
                 Mode.worker(bad)
         with pytest.raises(ValueError, match="worker"):
             Mode.single(range(2))
+        # a negative index would pick a head from the end
+        for bad in (Mode.single, Mode.worker):
+            with pytest.raises(ValueError, match="head index must be >= 0, got -1"):
+                bad(-1)
 
     @pytest.mark.parametrize("mode", [Mode.full(), Mode.single(0), Mode.multi()])
     def test_corrections_rejected_outside_worker_mode(self, mode):
@@ -162,6 +159,8 @@ class TestForward:
             forward(net, np.ones((3, 4, 2)), Mode.worker(range(2)))
         with pytest.raises(IndexError, match="heads"):
             forward(net, np.ones((2, 4, 2)), Mode.worker(range(2, 4)))
+        with pytest.raises(IndexError, match="head 5 is not one of the layer's 3"):
+            forward(net, np.ones((4, 2)), Mode.worker(5))
 
 
 class TestModeTerms:
@@ -343,11 +342,10 @@ def concat_cases(draw):
 
 
 def _per_head_reference(net, x, y, sharded):
-    """Multi-mode loss, head gradients and base gradients, built one head
-    term at a time: each layer adds c B_h (A_h x) per head h, the input
-    gradient c A_hᵀ (B_hᵀ u) per head, and on a shard stack head h's
-    gradient comes from slice h alone. dW (per slice on a stack) of every
-    layer below the top is u xᵀ for the input gradient u of the layer above."""
+    """Multi-mode loss and head gradients, built one head term at a time:
+    each layer adds c B_h (A_h x) per head h, the input gradient
+    c A_hᵀ (B_hᵀ u) per head, and on a shard stack head h's gradient comes
+    from slice h alone."""
     xs, zs = [], []
     for layer, act in zip(net.layers, net.activations):
         c = layer.s / layer.num_heads
@@ -361,13 +359,12 @@ def _per_head_reference(net, x, y, sharded):
     diff = x - y
     loss = 0.5 / b * np.sum(diff * diff, axis=(-2, -1))
     u = diff / b
-    dW, dA, dB = [None] * len(net.layers), [None] * len(net.layers), [None] * len(net.layers)
+    dA, dB = [None] * len(net.layers), [None] * len(net.layers)
     for i in reversed(range(len(net.layers))):
         layer, x, z = net.layers[i], xs[i], zs[i]
         c = layer.s / layer.num_heads
         if net.activations[i] == "relu":
             u = u * (z > 0.0)
-        dW[i] = u @ x.swapaxes(-1, -2)
         a_grads, b_grads = [], []
         for h in range(layer.num_heads):
             uh, xh = (u[h], x[h]) if sharded else (u, x)
@@ -378,7 +375,7 @@ def _per_head_reference(net, x, y, sharded):
         for h in range(layer.num_heads):
             dx = dx + c * (layer.A[h].T @ (layer.B[h].T @ u))
         u = dx
-    return loss, dW, dA, dB, zs
+    return loss, dA, dB, zs
 
 
 class TestConcatenatedMulti:
@@ -395,12 +392,12 @@ class TestConcatenatedMulti:
         lead = (k,) if case["sharded"] else ()
         x = rng.child("x").standard_normal(lead + (dims[0], case["batch"]))
         y = rng.child("y").standard_normal(lead + (dims[-1], case["batch"]))
-        loss, dW, dA, dB, zs = _per_head_reference(net, x, y, case["sharded"])
+        loss, dA, dB, zs = _per_head_reference(net, x, y, case["sharded"])
         if case["activation"] == "relu":
             assume(all(np.abs(z).min() > 1e-9 for z in zs[:-1]))
         out, _ = forward(net, x, Mode.multi())
         np.testing.assert_allclose(out, zs[-1], rtol=1e-12, atol=1e-12)
-        got, grads = loss_and_grad(net, Batch(inputs=x, targets=y), Mode.multi(), include_base=True)
+        got, grads = loss_and_grad(net, Batch(inputs=x, targets=y), Mode.multi())
         np.testing.assert_allclose(got, loss, rtol=1e-12, atol=1e-12)
         for li, g in enumerate(grads):
             if case["sharded"]:
@@ -408,7 +405,6 @@ class TestConcatenatedMulti:
             else:
                 a_got = np.stack([g.dA[h] for h in range(k)])
                 b_got = np.stack([g.dB[h] for h in range(k)])
-            np.testing.assert_allclose(g.dW, dW[li], rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(a_got, dA[li], rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(b_got, dB[li], rtol=1e-12, atol=1e-12)
 
