@@ -13,7 +13,7 @@ import numpy as np
 
 from .layers import LoraLinear
 from .network import Batch
-from .numerics import Matrix, as_matrix, singular_values, svd
+from .numerics import Matrix, as_matrix, frobenius, singular_values, svd
 
 # Sign conventions for the first-order part of the effective-update formula.
 # "expansion" is the one confirmed by verify_effective_update: expanding one
@@ -214,7 +214,7 @@ def trajectory_deviation(run_a, run_b) -> DeviationTrace:
     per_layer = np.zeros((len(steps_a), len(shapes_a)))
     for si, (sa, sb) in enumerate(zip(run_a.snapshots, run_b.snapshots)):
         for li, (wa, wb) in enumerate(zip(sa.weights, sb.weights)):
-            per_layer[si, li] = np.linalg.norm(wa - wb)
+            per_layer[si, li] = frobenius(wa - wb)
     return DeviationTrace(
         steps=np.asarray(steps_a), per_layer=per_layer, total=per_layer.sum(axis=1)
     )
@@ -310,14 +310,14 @@ def verify_effective_update(
         B2 = B - eta * (s * (g @ A.T))
         A2 = A - eta * (s * (B.T @ g))
         d_actual = s * (B2 @ A2 - B @ A)
-        update_norms.append(float(np.linalg.norm(d_actual)))
+        update_norms.append(frobenius(d_actual))
         for name in UPDATE_CONVENTIONS:
             first = effective_gradient(
                 W, A, B, g, s, eta, convention=name, include_second_order=False
             )
-            by_convention[name].append(float(np.linalg.norm(d_actual + eta * first)))
+            by_convention[name].append(frobenius(d_actual + eta * first))
         both = effective_gradient(W, A, B, g, s, eta, convention="expansion")
-        residual_both.append(float(np.linalg.norm(d_actual + eta * both)))
+        residual_both.append(frobenius(d_actual + eta * both))
 
     confirmed = min(UPDATE_CONVENTIONS, key=lambda name: by_convention[name][-1])
     residual_first = by_convention[confirmed]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .analysis import DeviationTrace
 from .lte import RunResult
-from .numerics import save_matrix_csv
+from .numerics import frobenius, save_matrix_csv
 
 METRICS_COLUMNS = (
     "step", "merge_id", "worker_id", "loss",
@@ -60,7 +60,7 @@ def write_metrics_csv(result: RunResult, outdir: str | os.PathLike) -> None:
     for snap in result.snapshots:
         if snap.step == 0:
             continue
-        dev = sum(float(np.linalg.norm(w - w0)) for w, w0 in zip(snap.weights, base))
+        dev = sum(frobenius(w - w0) for w, w0 in zip(snap.weights, base))
         rank = _nanmean(snap.update_rank)
         if snap.alignment is None:
             cos = gr = float("nan")
@@ -109,7 +109,7 @@ def write_analysis_csv(result: RunResult, outdir: str | os.PathLike) -> None:
 
         for snap in result.snapshots:
             for li, w in enumerate(snap.weights):
-                emit(snap.step, li, "eff_weight_change_fro", float(np.linalg.norm(w - base[li])))
+                emit(snap.step, li, "eff_weight_change_fro", frobenius(w - base[li]))
                 emit(snap.step, li, "weight_eff_rank", snap.weight_rank[li])
                 emit(snap.step, li, "update_eff_rank", snap.update_rank[li])
                 if snap.alignment is not None:
@@ -119,7 +119,7 @@ def write_analysis_csv(result: RunResult, outdir: str | os.PathLike) -> None:
                     emit(snap.step, li, "mean_grassman_scaled", rep.mean_grassman_scaled)
         for rec in result.merges:
             for li, d in enumerate(rec.delta):
-                emit(rec.step, li, "merge_delta_fro", float(np.linalg.norm(d)))
+                emit(rec.step, li, "merge_delta_fro", frobenius(d))
 
 
 def write_run_artifacts(result: RunResult, outdir: str | os.PathLike) -> None:

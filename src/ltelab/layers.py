@@ -45,51 +45,13 @@ class LoraHead:
         return cls(A=init_matrix(r, n, scheme, rng), B=np.zeros((m, r)))
 
 
-class HeadView:
-    """One head of a layer (`layer.heads[i]`): A and B are views on the
-    layer's stacks, and assigning either writes into them (shape checked,
-    copied in)."""
-
-    __slots__ = ("_A", "_B")
-
-    def __init__(self, A: Matrix, B: Matrix):
-        self._A = A
-        self._B = B
-
-    @property
-    def A(self) -> Matrix:
-        return self._A
-
-    @A.setter
-    def A(self, value) -> None:
-        _write(self._A, value, "head A")
-
-    @property
-    def B(self) -> Matrix:
-        return self._B
-
-    @B.setter
-    def B(self, value) -> None:
-        _write(self._B, value, "head B")
-
-    @property
-    def rank(self) -> int:
-        return self._A.shape[0]
-
-
-def _write(target: Matrix, value, what: str) -> None:
-    if np.shape(value) != target.shape:
-        raise ValueError(f"{what} must keep its shape {target.shape}, got {np.shape(value)}")
-    target[...] = value
-
-
 class LoraLinear:
     """Frozen base weight plus N LoRA heads with scale s = alpha / r.
 
     The heads are stored stacked: A is (N, r, n) and B is (N, m, r), so any
     run of consecutive heads is one view and k workers' local steps are one
     batched matmul. The stacks are written in place, never rebound;
-    `heads[i]` reads and writes head i through them.
+    `factors` reads and writes heads through views on them.
 
     In head training W is only ever replaced by merge operations; between
     merges it is shared read-only, and each head is owned by exactly one
@@ -112,11 +74,6 @@ class LoraLinear:
         self.B = np.array([h.B for h in heads], dtype=np.float64).reshape(len(heads), m, r)
         # per-head views, made once: the stacks are never rebound
         self._factors = tuple((self.A[i], self.B[i]) for i in range(len(heads)))
-        self._heads = tuple(HeadView(a, b) for a, b in self._factors)
-
-    @property
-    def heads(self) -> tuple[HeadView, ...]:
-        return self._heads
 
     def factors(self, heads: int | range) -> tuple[Matrix, Matrix]:
         """(A, B) as views on the stacks: (r, n) and (m, r) for one head

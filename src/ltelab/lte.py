@@ -21,10 +21,12 @@ worker execution order; slice j of a draw comes from worker j's own Philox
 stream or pool shard. `_train_heads` is one `loss_and_grad` call and one
 optimizer call over every trained array of every layer, gathered head-major
 into one (k, P) array, so the moments are one (k, P) state whose row j is
-head j's. A merge (`_fold`) adds to W the increment `head_increment` takes
-from the head stacks in one GEMM (two in exact mode), and its record keeps
-copies of those stacks, not the dense m x n increment. In an exact run
-those copies are also the next interval's stale factors. `local_step` and
+head j's. A merge (`_fold`) takes one GEMM per layer, the merged heads'
+product P, adds `combine`'s increment of it to W and keeps copies of the
+head stacks in its record, not a dense array. In an exact run those copies
+are the next interval's stale factors and P its stale product P°, which
+`run` keeps, so its eval takes one head product per layer per step (none
+on a merge step, where the heads are the merged copies). `local_step` and
 `merge` drive hand-built `WorkerState`s through the same update and fold.
 """
 
@@ -39,8 +41,8 @@ from . import __version__ as _code_version
 from .analysis import AlignmentReport, effective_rank, head_alignment
 from .data import LeastSquaresTask, gen_least_squares
 from .layers import LoraHead, LoraLinear
-from .network import (ACTIVATIONS, LOSSES, Batch, Mode, Network, correction_mismatch,
-                      effective_weight, head_increment, loss_and_grad)
+from .network import (ACTIVATIONS, LOSSES, Batch, Mode, Network, combine, correction_mismatch,
+                      head_increment, head_product, loss_and_grad)
 from .numerics import INIT_KINDS, InitScheme, Matrix, RandomSource, init_matrix
 from .optim import AdamState, OptimConfig, adamw_step, sgd_step
 
@@ -345,7 +347,8 @@ class UpdateRecord:
     """What one merge added to the base weights, kept as factors: per layer
     the coefficient c = s/N, copies of the merged head stacks (A, B), and in
     exact mode the stale stacks (A°, B°) the merge subtracted (None
-    otherwise); no array aliases a live head stack. In an exact run a
+    otherwise), and no dense product; no array aliases a live head stack.
+    In an exact run a
     record's factors are the next interval's stale stacks, so they are
     read-only and shared with the next record, whose stale they are; the
     first record's stale stacks are zeros. `merge` records fresh stacks of
@@ -449,25 +452,25 @@ def _train_heads(net: Network, opt: KeyedOptimizer, batch: Batch, mode: Mode, co
     return loss
 
 
-# per layer, the (A°, B°) stacks of the workers' stale corrections, or None
-Stale = list[tuple[Matrix, Matrix]] | None
-
-
 def _fold(net: Network, policy: MergePolicy, merge_id: int, step: int,
-          init: InitScheme | None, rng: RandomSource | None, stale: Stale) -> UpdateRecord:
+          init: InitScheme | None, rng: RandomSource | None, stale: list | None,
+          stale_prods: list[Matrix] | None) -> tuple[UpdateRecord, list[Matrix]]:
     """Fold every head into the base weights, then apply the resets.
 
-    W takes `head_increment` of the heads, minus in exact mode the stale
-    stacks (per layer (A°, B°), or None), so it becomes bitwise the
-    effective weight from before the merge. Heads are summed in index
-    order, so the result is independent of worker scheduling. The record
-    keeps copies of the heads from before the resets, and `stale` itself.
+    Per layer one GEMM, the merged heads' product P; W becomes `combine` of
+    P, in exact mode the stale product P° (`stale_prods`) of the stale
+    stacks (`stale`, per layer (A°, B°)), and W: bitwise the effective
+    weight from before the merge. Heads are summed in index order, so the
+    result is independent of worker scheduling. Returns the record (copies
+    of the heads from before the resets, and `stale` itself) and the
+    products P, an exact run's next stale products.
     """
-    coefs, factors = [], []
+    coefs, factors, prods = [], [], []
     for li, layer in enumerate(net.layers):
         merged = (layer.A.copy(), layer.B.copy())
         c = layer.s / layer.num_heads
-        layer.W = layer.W + head_increment(c, *merged, stale[li] if stale else None)
+        prods.append(head_product(*merged))
+        layer.W = combine(c, prods[-1], stale_prods[li] if stale_prods else None, layer.W)
         coefs.append(c)
         factors.append(merged)
         if policy.reset_B:
@@ -476,7 +479,7 @@ def _fold(net: Network, policy: MergePolicy, merge_id: int, step: int,
             for h in range(layer.num_heads):
                 layer.A[h] = init_matrix(layer.rank, layer.n, init, rng.child(merge_id, li, h))
     return UpdateRecord(merge_id=merge_id, step=step, coefs=coefs, factors=factors,
-                        stale=list(stale) if stale else [None] * len(net.layers))
+                        stale=list(stale) if stale else [None] * len(net.layers)), prods
 
 
 def merge(
@@ -489,8 +492,8 @@ def merge(
     rng: RandomSource | None = None,
 ) -> UpdateRecord:
     """Fold every worker's head into the base weights with `_fold`, the
-    merge `run` makes, on fresh stacks of the workers' stale corrections in
-    exact mode. Then refresh those corrections from the merged heads, clear
+    merge `run` makes, on fresh stacks of the workers' stale corrections and
+    their products in exact mode. Then refresh those corrections, clear
     the workers' optimizers (reset_opt) and zero their step counters. Equal
     step counts, full head coverage and, in exact mode, every correction's
     shapes are checked before anything is written.
@@ -512,11 +515,12 @@ def merge(
                 problem = correction_mismatch(layer, w.corrections[li], w.head_index)
                 if problem:
                     raise ValueError(f"worker {w.head_index}, layer {li}: {problem}")
-    stale = None
+    stale = stale_prods = None
     if policy.exact_correction:
         stale = [tuple(np.stack(f) for f in zip(*(w.corrections[li] for w in workers)))
                  for li in range(len(net.layers))]
-    rec = _fold(net, policy, merge_id, step, init, rng, stale)
+        stale_prods = [head_product(*pair) for pair in stale]
+    rec, _ = _fold(net, policy, merge_id, step, init, rng, stale, stale_prods)
     for w in workers:
         if policy.exact_correction:
             for (a0, b0), (A, B) in zip(w.corrections, rec.factors):
@@ -559,23 +563,27 @@ def _make_stream(cfg: RunConfig, task: LeastSquaresTask, root: RandomSource, k: 
     return PooledStream(xt.T, np.ascontiguousarray(y.T).T, k)
 
 
-def _effective_weights(net: Network, stale: Stale = None) -> list[Matrix]:
-    """Per-layer effective weight of the current global model, with the
-    stale corrections, each layer's (A°, B°) stacks, subtracted when given."""
-    return [effective_weight(layer, stale[li] if stale else None)
+def _effective_weights(net: Network, stale_prods: list[Matrix] | None = None,
+                       prods: list[Matrix] | None = None) -> list[Matrix]:
+    """Per-layer effective weight W + c (P - P°), fresh arrays: P the heads'
+    `head_product` or `prods`, which the heads must equal; P° the stale
+    products (None: no correction). Without heads, copies of W."""
+    if not net.layers[0].num_heads:
+        return [layer.W.copy() for layer in net.layers]
+    return [combine(layer.s / layer.num_heads,
+                    head_product(layer.A, layer.B) if prods is None else prods[li],
+                    None if stale_prods is None else stale_prods[li], layer.W)
             for li, layer in enumerate(net.layers)]
 
 
-def _chain(weights: list[Matrix]) -> Matrix:
+def _population_mse(weights: list[Matrix], task: LeastSquaresTask, overwrite: bool) -> float:
+    """E over x ~ N(0, I) of the batch-mean half squared error of the chain
+    of `weights`, worked in place in the chain product of several layers (a
+    fresh array) and in a lone layer's weight only when `overwrite`."""
     prod = weights[0]
     for w in weights[1:]:
         prod = w @ prod
-    return prod
-
-
-def _population_mse(weights: list[Matrix], task: LeastSquaresTask) -> float:
-    # E over x ~ N(0, I) of the batch-mean half squared error
-    diff = _chain(weights) - task.W_star  # a fresh array: square it in place
+    diff = np.subtract(prod, task.W_star, out=prod if overwrite or len(weights) > 1 else None)
     diff *= diff
     return 0.5 * float(np.sum(diff))
 
@@ -607,8 +615,9 @@ def run(cfg: RunConfig) -> RunResult:
     call under one optimizer: in worker mode over all N heads for lte, in
     multi mode over the N shards for lora and mhlora, in full mode on
     slice 0 for full. lte folds its heads into W every merge period
-    (`_fold`, with reset_opt clearing the optimizer); in an exact run the
-    stale stacks start at zero and are then the last record's factors.
+    (`_fold`, with reset_opt clearing the optimizer). In an exact run the
+    stale stacks and each layer's stale product P° start at zero and are
+    then the last record's factors and the last merge's product P.
 
     Snapshots come at step 0, every snapshot_interval steps and at the last
     step; the default interval is the merge period, or the whole run in
@@ -617,9 +626,13 @@ def run(cfg: RunConfig) -> RunResult:
     under it. Each step runs in this order: the update, the merge, one pass
     over the layers' effective weights (when a snapshot is due or MSE is
     evaluated), the snapshot, the evaluation; snapshot and evaluation read
-    that one pass. A snapshot's alignment is of the heads as trained, so on
-    a merge step it comes from the merge record. From an all-zero base the
-    accumulated update is the weight itself, and its rank is taken once."""
+    that one pass, which takes one head product per layer, none on an exact
+    merge step, where it reuses the merge's P (P - P° is exactly zero). On
+    a step without a snapshot the evaluation overwrites the pass, so a
+    snapshot after a stop_mse break takes its weights again. A snapshot's
+    alignment is of the heads as trained, so on a merge step it comes from
+    the merge record. From an all-zero base the accumulated update is the
+    weight itself, and its rank is taken once."""
     cfg.validate()
     root = RandomSource(cfg.seed)
     task = gen_least_squares(cfg.dataset.m, cfg.dataset.n, cfg.dataset.rank, root.child("task"))
@@ -632,16 +645,17 @@ def run(cfg: RunConfig) -> RunResult:
     mode = {"full": Mode.full(), "lora": Mode.multi(), "mhlora": Mode.multi(),
             "lte": Mode.worker(range(k))}[cfg.mode]
     merging = cfg.mode == "lte"
-    stale = None
+    stale = stale_prods = None
     if merging and cfg.policy.exact_correction:
         stale = [(np.zeros_like(layer.A), np.zeros_like(layer.B)) for layer in net.layers]
+        stale_prods = [np.zeros_like(layer.W) for layer in net.layers]
     period = cfg.merge_period
     interval = cfg.snapshot_interval or (period if merging else cfg.total_steps)
     merge_rng = root.child("merge")
     record_params = cfg.record_params and n_heads > 0
     do_eval = _eval_enabled(cfg)
 
-    base_weights = _effective_weights(net, stale)
+    base_weights = _effective_weights(net, stale_prods)
     # from a base of +0.0 entries w - w0 is bitwise w, so a snapshot's update
     # rank is its weight rank (a -0.0 base entry would turn -0.0 into +0.0)
     zero_base = not any(np.any(w) or np.signbit(w).any() for w in base_weights)
@@ -654,7 +668,8 @@ def run(cfg: RunConfig) -> RunResult:
         merged = merges[-1] if merges and merges[-1].step == step else None
         params = None
         if record_params:
-            params = [[(h.A.copy(), h.B.copy()) for h in layer.heads] for layer in net.layers]
+            params = [[(A.copy(), B.copy()) for A, B in zip(layer.A, layer.B)]
+                      for layer in net.layers]
         return Snapshot(
             step=step,
             merge_id=len(merges),
@@ -675,25 +690,28 @@ def run(cfg: RunConfig) -> RunResult:
             x, y = x[0], y[0]
         # a row of one loss per slice; full mode's one loss is a row of one
         losses.append(np.atleast_1d(_train_heads(net, opt, Batch(x, y), mode, stale)))
+        prods = None  # the heads' products, when a merge has just taken them
         if merging and step % period == 0:
-            merges.append(_fold(net, cfg.policy, len(merges) + 1, step, cfg.init, merge_rng,
-                                stale))
-            if stale:
-                stale = merges[-1].factors
+            rec, merged_prods = _fold(net, cfg.policy, len(merges) + 1, step, cfg.init,
+                                      merge_rng, stale, stale_prods)
+            merges.append(rec)
+            if stale:  # exact: no reset, so the heads still are the merged copies
+                stale, stale_prods, prods = rec.factors, merged_prods, merged_prods
             if cfg.policy.reset_opt:
                 opt.reset_states()
-        snap_due = step % interval == 0
-        weights = _effective_weights(net, stale) if snap_due or do_eval else None
+        snap_due = step % interval == 0 or step == cfg.total_steps
+        if snap_due or do_eval:
+            weights = _effective_weights(net, stale_prods, prods)
         if snap_due:
             snapshots.append(snapshot(step, weights))
         if do_eval:
-            mse = _population_mse(weights, task)
+            mse = _population_mse(weights, task, overwrite=not snap_due)
             eval_mse.append(mse)
             if cfg.stop_mse is not None and mse <= cfg.stop_mse:
                 stopped_at = step
                 break
-    if snapshots[-1].step != len(losses):
-        snapshots.append(snapshot(len(losses), weights or _effective_weights(net, stale)))
+    if snapshots[-1].step != len(losses):  # a stop_mse break; its weights were overwritten
+        snapshots.append(snapshot(len(losses), _effective_weights(net, stale_prods)))
     return RunResult(
         config=cfg,
         task=task,

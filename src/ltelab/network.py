@@ -28,9 +28,10 @@ every head shares the coefficient s/N and the layer runs them as the one
 term (s/N, A_cat, B_cat) of all heads' factors concatenated in index
 order, B_cat (m, N r) and A_cat (N r, n): W x + (s/N) B_cat (A_cat x).
 The dense increment the multi-head view adds to W,
-(s/N) * (sum_n B_n A_n - sum_n B°_n A°_n), is the product of the same
-concatenations, in one function, `head_increment`, which
-`effective_weight` and an lte merge share.
+(s/N) * (sum_n B_n A_n - sum_n B°_n A°_n), is `combine`, the one
+arithmetic W + c (P - P°), of products P = B_cat A_cat of the same
+concatenations, each one GEMM, `head_product`; a caller holding a product
+(an exact lte run's stale P°) passes it instead of taking it again.
 """
 
 from __future__ import annotations
@@ -158,10 +159,6 @@ class Network:
     def in_dim(self) -> int:
         return self.layers[0].n
 
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1].m
-
 
 def _check_corrections(net: Network, corrections, mode: Mode) -> list[tuple | None]:
     if corrections is None:
@@ -221,38 +218,49 @@ def _layer_forward(layer: LoraLinear, x: Matrix, gemms: list[Gemm]) -> Matrix:
     return out
 
 
+def head_product(A: Matrix, B: Matrix) -> Matrix:
+    """P = sum_h B_h A_h for head stacks A (k, r, n) and B (k, m, r), the
+    only dense head product: one GEMM B_cat A_cat of the heads concatenated
+    in head order (`_concat`, as the multi-mode forward concatenates them)."""
+    A_cat, B_cat = _concat(A, B)
+    return B_cat @ A_cat
+
+
+def combine(c: float, prod: Matrix, stale_prod: Matrix | None = None,
+            W: Matrix | None = None) -> Matrix:
+    """W + c * (P - P°) in this order: P - P° (P without P°), scaled by c,
+    W added (without W, the increment). Every increment and effective weight
+    takes it. A fresh array, bitwise the out-of-place formula; W + 0.0 when
+    P° is P."""
+    if stale_prod is None:
+        out = prod * c
+    else:
+        out = prod - stale_prod
+        out *= c
+    if W is not None:
+        out += W
+    return out
+
+
 def head_increment(c: float, A: Matrix, B: Matrix, stale: tuple[Matrix, Matrix] | None = None
                    ) -> Matrix:
     """c * (sum_h B_h A_h - sum_h B°_h A°_h) for head stacks A (k, r, n) and
-    B (k, m, r): one GEMM B_cat A_cat of the heads concatenated in head order
-    (`_concat`, as the multi-mode forward concatenates them), minus, given
-    the stale stacks (A°, B°), a second GEMM of theirs, so that it is
-    exactly 0 when they equal the heads. `effective_weight`, an lte merge
-    and its record all call it. The result is a fresh array, scaled in
-    place: bitwise c * prod, aliasing no input."""
-    def product(A, B):
-        A_cat, B_cat = _concat(A, B)
-        return B_cat @ A_cat
-
-    prod = product(A, B)
-    if stale is not None:
-        prod -= product(*stale)
-    prod *= c
-    return prod
+    B (k, m, r) and, given, the stale stacks (A°, B°): `combine` of their
+    `head_product`s, exactly 0 when the stale stacks equal the heads. An lte
+    merge record's delta is this."""
+    return combine(c, head_product(A, B), None if stale is None else head_product(*stale))
 
 
 def effective_weight(layer: LoraLinear, stale: tuple[Matrix, Matrix] | None = None) -> Matrix:
     """W + (s/N) * (sum_n B_n A_n - sum_n B°_n A°_n), the weight the
     multi-head view realizes once the stale corrections, the stacks
-    (A°, B°) shaped like the head stacks (None: none), are subtracted; the
-    increment is `head_increment` of the layer's head stacks and the stale
-    stacks, into which W is added in place (bitwise W + increment). The
-    result aliases neither W, the heads nor the stale stacks."""
+    (A°, B°) shaped like the head stacks (None: none), are subtracted:
+    `combine` of the heads' and the stale stacks' `head_product`s and W.
+    The result aliases neither W, the heads nor the stale stacks."""
     if not layer.num_heads:
         return layer.W.copy()
-    inc = head_increment(layer.s / layer.num_heads, layer.A, layer.B, stale)
-    inc += layer.W
-    return inc
+    return combine(layer.s / layer.num_heads, head_product(layer.A, layer.B),
+                   None if stale is None else head_product(*stale), layer.W)
 
 
 def forward(

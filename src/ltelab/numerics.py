@@ -26,6 +26,7 @@ __all__ = [
     "InitScheme",
     "RandomSource",
     "as_matrix",
+    "frobenius",
     "init_matrix",
     "load_matrix_csv",
     "save_matrix_csv",
@@ -174,6 +175,12 @@ def singular_values(m: Matrix) -> np.ndarray:
     """Singular values only, descending."""
     m = as_matrix(m, "singular_values input")
     return np.linalg.svd(m, compute_uv=False)
+
+
+def frobenius(m: Matrix) -> float:
+    """Frobenius norm, summed by numpy: `np.linalg.norm` sums through BLAS,
+    whose summation order, so its last bit, follows the thread count."""
+    return float(np.sqrt(np.sum(m * m)))
 
 
 def save_matrix_csv(m: Matrix, path: str | os.PathLike) -> None:

@@ -69,9 +69,19 @@ def adamw_step(
     if state.m.shape != param.shape or state.v.shape != param.shape:
         raise ValueError("adamw_step state shape mismatch")
     t = state.step_count + 1
-    m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * grad
-    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * (grad * grad)
-    m_hat = m / (1.0 - cfg.beta1**t)
-    v_hat = v / (1.0 - cfg.beta2**t)
-    new = param - cfg.eta * cfg.weight_decay * param - cfg.eta * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    # the docstring's formula, operation for operation, on five fresh arrays
+    m = np.multiply(state.m, cfg.beta1)
+    tmp = np.multiply(grad, 1.0 - cfg.beta1)
+    m += tmp
+    v = np.multiply(state.v, cfg.beta2)
+    v += np.multiply(np.multiply(grad, grad, out=tmp), 1.0 - cfg.beta2, out=tmp)
+    denom = np.divide(v, 1.0 - cfg.beta2**t)  # v_hat
+    np.sqrt(denom, out=denom)
+    denom += cfg.eps
+    np.divide(m, 1.0 - cfg.beta1**t, out=tmp)  # m_hat
+    tmp *= cfg.eta
+    tmp /= denom
+    new = np.multiply(param, cfg.eta * cfg.weight_decay)
+    np.subtract(param, new, out=new)
+    new -= tmp
     return new, AdamState(m=m, v=v, step_count=t)

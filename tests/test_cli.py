@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ltelab
 from ltelab.cli import main
 
 
@@ -245,3 +249,37 @@ class TestCost:
 def test_unknown_subcommand_exits():
     with pytest.raises(SystemExit):
         main(["explode"])
+
+
+class TestThreadCountIndependence:
+    """A run is a pure function of its configuration: a small lte-wide-like
+    exact run writes the same artifact bytes at one and at two BLAS threads,
+    though BLAS reductions of its matrices sum in another order at two."""
+
+    def test_artifact_bytes_equal_at_one_and_two_threads(self, tmp_path):
+        cfg = write_json(tmp_path / "cfg.json", {
+            "mode": "lte",
+            "dataset": {"m": 128, "n": 128, "rank": 32, "pool": 1024},
+            "arch": {"dims": [128, 128]},
+            "N": 4, "r": 8, "T": 5,
+            "optimizer": "adamw", "optim": {"eta": 1e-3},
+            "policy": {"reset_B": False, "exact_correction": True},
+            "batch_size": 64,
+            "total_steps": 20,
+            "snapshot_interval": 5,
+        })
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ltelab.__file__)))
+        trees = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"out{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            subprocess.run([sys.executable, "-m", "ltelab.cli", "train", "--config", cfg,
+                            "--out", str(out)], env=env, check=True, timeout=300,
+                           capture_output=True)
+            trees.append({str(p.relative_to(out)): p.read_bytes()
+                          for p in sorted(out.rglob("*")) if p.is_file()})
+        assert {"manifest.json", "metrics.csv", "analysis.csv"} <= trees[0].keys()
+        assert trees[0].keys() == trees[1].keys()
+        assert [name for name in trees[0] if trees[0][name] != trees[1][name]] == []

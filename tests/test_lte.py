@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 from conftest import exact_policy, ls_config
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ltelab import lte, network
@@ -62,16 +62,16 @@ class TestLocalStep:
     def test_zero_upstream_no_change(self):
         net, _, workers, rng = tiny_setup()
         # make B nonzero so a nonzero gradient would actually move something
-        for h in net.layers[0].heads:
-            h.B = rng.child("bfill").standard_normal(h.B.shape)
+        layer = net.layers[0]
+        for B in layer.B:
+            B[...] = rng.child("bfill").standard_normal(B.shape)
         x = rng.child("x").standard_normal((4, 5))
         out, _ = forward(net, x, Mode.worker(0))
-        before = [(h.A.copy(), h.B.copy()) for h in net.layers[0].heads]
+        before = (layer.A.copy(), layer.B.copy())
         loss = local_step(workers[0], net, Batch(inputs=x, targets=out))
         assert loss == 0.0
-        for h, (a, b) in zip(net.layers[0].heads, before):
-            np.testing.assert_array_equal(h.A, a)
-            np.testing.assert_array_equal(h.B, b)
+        np.testing.assert_array_equal(layer.A, before[0])
+        np.testing.assert_array_equal(layer.B, before[1])
 
     def test_loss_decreases_on_convex_task(self):
         net, task, workers, rng = tiny_setup(eta=0.1)
@@ -86,12 +86,11 @@ class TestLocalStep:
     def test_isolation_of_base_and_other_heads(self):
         net, task, workers, rng = tiny_setup(n_heads=3)
         w_bytes = net.layers[0].W.tobytes()
-        others = [(h.A.tobytes(), h.B.tobytes()) for h in net.layers[0].heads[1:]]
+        others = [f.tobytes() for f in net.layers[0].factors(range(1, 3))]
         for _ in range(5):
             local_step(workers[0], net, sample_batch(task, 8, rng.child("b")))
         assert net.layers[0].W.tobytes() == w_bytes
-        for h, (a, b) in zip(net.layers[0].heads[1:], others):
-            assert h.A.tobytes() == a and h.B.tobytes() == b
+        assert [f.tobytes() for f in net.layers[0].factors(range(1, 3))] == others
 
     def test_step_counters(self):
         net, task, workers, rng = tiny_setup()
@@ -109,10 +108,9 @@ class TestLocalStep:
             for _ in range(3):
                 for i in order:
                     local_step(workers[i], net, batches[i])
-            results.append([(h.A.copy(), h.B.copy()) for h in net.layers[0].heads])
-        for (a0, b0), (a1, b1) in zip(results[0], results[1]):
-            np.testing.assert_array_equal(a0, a1)
-            np.testing.assert_array_equal(b0, b1)
+            results.append((net.layers[0].A.copy(), net.layers[0].B.copy()))
+        np.testing.assert_array_equal(results[0][0], results[1][0])
+        np.testing.assert_array_equal(results[0][1], results[1][1])
 
 
 @st.composite
@@ -311,8 +309,8 @@ class TestMerge:
         rng = RandomSource(1)
         for trial in range(10):
             net, _, workers, _ = tiny_setup(n_heads=3, seed=trial)
-            for hi, h in enumerate(net.layers[0].heads):
-                h.B = rng.child("b", trial, hi).standard_normal(h.B.shape)
+            for hi, B in enumerate(net.layers[0].B):
+                B[...] = rng.child("b", trial, hi).standard_normal(B.shape)
             x = rng.child("x", trial).standard_normal((4, 6))
             before, _ = forward(net, x, Mode.multi())
             merge(net, workers, MergePolicy(period=1, reset_B=True))
@@ -321,14 +319,15 @@ class TestMerge:
 
     def test_exact_mode_updates_corrections(self):
         net, _, workers, rng = tiny_setup(n_heads=2, exact=True)
-        for h in net.layers[0].heads:
-            h.B = rng.child("bx").standard_normal(h.B.shape)
-        products = [h.B @ h.A for h in net.layers[0].heads]
+        layer = net.layers[0]
+        for B in layer.B:
+            B[...] = rng.child("bx").standard_normal(B.shape)
+        products = [B @ A for A, B in zip(layer.A, layer.B)]
         rec = merge(net, workers, exact_policy())
-        for w, h, prod in zip(workers, net.layers[0].heads, products):
+        for w, A, B, prod in zip(workers, layer.A, layer.B, products):
             a0, b0 = w.corrections[0]
-            np.testing.assert_array_equal(a0, h.A)
-            np.testing.assert_array_equal(b0, h.B)
+            np.testing.assert_array_equal(a0, A)
+            np.testing.assert_array_equal(b0, B)
             np.testing.assert_array_equal(b0 @ a0, prod)
         # second merge with unchanged params adds nothing
         w_before = net.layers[0].W.copy()
@@ -338,13 +337,12 @@ class TestMerge:
     def test_delta_is_mean_of_worker_deltas(self):
         net, _, workers, rng = tiny_setup(n_heads=4)
         layer = net.layers[0]
-        for hi, h in enumerate(layer.heads):
-            h.B = rng.child("bfill", hi).standard_normal(h.B.shape)
+        for hi, B in enumerate(layer.B):
+            B[...] = rng.child("bfill", hi).standard_normal(B.shape)
         # reference: one head at a time; and the merge's arithmetic, one
         # GEMM of the factors concatenated in index order
-        contribs = [layer.s * (h.B @ h.A) for h in layer.heads]
-        pinned = layer.s / 4 * (np.hstack([h.B for h in layer.heads])
-                                @ np.vstack([h.A for h in layer.heads]))
+        contribs = [layer.s * (B @ A) for A, B in zip(layer.A, layer.B)]
+        pinned = layer.s / 4 * (np.hstack(list(layer.B)) @ np.vstack(list(layer.A)))
         rec = merge(net, workers, MergePolicy(period=1))
         A, B = rec.factors[0]
         for h, c in enumerate(contribs):
@@ -407,8 +405,8 @@ class TestMerge:
                 w.corrections = [pair if stacked else tuple(f.copy() for f in pair)]
             records = []
             for merge_id in (1, 2):
-                for hi, h in enumerate(net.layers[0].heads):
-                    h.B = rng.child("B", merge_id, hi).standard_normal(h.B.shape)
+                for hi, B in enumerate(net.layers[0].B):
+                    B[...] = rng.child("B", merge_id, hi).standard_normal(B.shape)
                 records.append(merge(net, workers, exact_policy(), merge_id=merge_id))
             runs.append((net.layers[0].W, records, [w.corrections[0] for w in workers]))
             if stacked:
@@ -483,14 +481,19 @@ class TestFactorCorrections:
         ]
         a0, b0 = stale[0].copy(), stale[1].copy()
         dense = sum(layer.B[h] @ layer.A[h] - b0[h] @ a0[h] for h in range(n_heads))
-        before = lte._effective_weights(net, [stale])[0]
+        before = effective_weight(layer, stale)
         rec = merge(net, workers, exact_policy())
-        np.testing.assert_allclose(lte._effective_weights(net, [stale])[0], before, rtol=0,
-                                   atol=1e-12)
+        np.testing.assert_allclose(effective_weight(layer, stale), before, rtol=0, atol=1e-12)
         for h, w in enumerate(workers):
             a, b = w.corrections[0]
             assert a.tobytes() == layer.A[h].tobytes() and b.tobytes() == layer.B[h].tobytes()
         np.testing.assert_allclose(rec.delta[0], layer.s / n_heads * dense, rtol=0, atol=1e-12)
+
+
+def _effective_weights(net, stale=None):
+    """Every layer's `effective_weight`, given per layer its stale stacks."""
+    return [effective_weight(layer, stale[li] if stale else None)
+            for li, layer in enumerate(net.layers)]
 
 
 def chain_setup(dims, r, n_heads, seed, exact):
@@ -542,11 +545,11 @@ class TestFactorRecords:
         dims, r, n_heads, name, seed = case
         net, workers, stale = chain_setup(dims, r, n_heads, seed, exact=name == "exact")
         stale = stale if name == "exact" else None
-        before = lte._effective_weights(net, stale)
+        before = _effective_weights(net, stale)
         w_before = [layer.W.copy() for layer in net.layers]
         rec = merge(net, workers, MERGE_POLICIES[name], init=InitScheme("kaiming"),
                     rng=RandomSource(seed).child("merge"))
-        after = lte._effective_weights(net, stale)
+        after = _effective_weights(net, stale)
         for li, layer in enumerate(net.layers):
             assert layer.W.tobytes() == (w_before[li] + rec.delta[li]).tobytes()
             assert after[li].tobytes() == before[li].tobytes()
@@ -784,9 +787,9 @@ def _mhlora_per_head(cfg):
             head_grads.append([(g.dA[i], g.dB[i]) for g in grads])
         for i, opt in enumerate(opts):
             for li, layer in enumerate(net.layers):
-                head = layer.heads[i]
-                head.A = opt.step((li, "A"), head.A, head_grads[i][li][0])
-                head.B = opt.step((li, "B"), head.B, head_grads[i][li][1])
+                A, B = layer.factors(i)
+                A[...] = opt.step((li, "A"), A, head_grads[i][li][0])
+                B[...] = opt.step((li, "B"), B, head_grads[i][li][1])
         losses.append(row)
     return net, np.array(losses)
 
@@ -806,12 +809,12 @@ class TestBatchedMhlora:
 
 
 @st.composite
-def lte_configs(draw):
-    """Small lte runs: N 1-4, depth 1-2, r up to the narrowest dim, T 1-3,
-    SGD or AdamW, averaged (optionally with reset_A) or exact merges, with
-    or without reset_opt, on i.i.d. or pooled data."""
+def lte_configs(draw, max_layers=2):
+    """Small lte runs: N 1-4, depth 1 to max_layers, r up to the narrowest
+    dim, T 1-3, SGD or AdamW, averaged (optionally with reset_A) or exact
+    merges, with or without reset_opt, on i.i.d. or pooled data."""
     n_heads = draw(st.integers(1, 4))
-    dims = tuple(draw(st.lists(st.integers(2, 6), min_size=2, max_size=3)))
+    dims = tuple(draw(st.lists(st.integers(2, 6), min_size=2, max_size=max_layers + 1)))
     optimizer = draw(st.sampled_from(["sgd", "adamw"]))
     period, reset_opt = draw(st.integers(1, 3)), draw(st.booleans())
     if draw(st.booleans()):
@@ -838,7 +841,12 @@ def _lte_by_hand(cfg):
     """Reference lte run from the public worker API alone: one WorkerState
     per head with its own optimizer and zero stale factors, N `local_step`
     calls per step on the workers' own draws, and a `merge` every period.
-    Returns the network, the (steps, N) losses and the merge records."""
+    After every step, and at step 0, each layer's `effective_weight` is
+    taken from factors, the heads and the workers' stale factors stacked,
+    and the population MSE of their chain out of place; like `run`, it
+    stops after the first step at or under cfg.stop_mse. Returns the
+    network, the (steps, N) losses, the merge records, the per-step
+    weights (entry 0 at step 0) and the (steps,) MSEs."""
     root = RandomSource(cfg.seed)
     task = gen_least_squares(cfg.dataset.m, cfg.dataset.n, cfg.dataset.rank, root.child("task"))
     net = lte._build_network(cfg, root, cfg.n_heads)
@@ -852,13 +860,26 @@ def _lte_by_hand(cfg):
         for i in range(cfg.n_heads)
     ]
     merge_rng = root.child("merge")
-    losses, records = [], []
+
+    def weights_from_factors():
+        stale = [tuple(np.stack(f) for f in zip(*(w.corrections[li] for w in workers)))
+                 for li in range(len(net.layers))]
+        return _effective_weights(net, stale if cfg.policy.exact_correction else None)
+
+    losses, records, weights, mses = [], [], [weights_from_factors()], []
     for step in range(1, cfg.total_steps + 1):
         losses.append([local_step(w, net, batch) for w, batch in zip(workers, next(draws))])
         if step % cfg.merge_period == 0:
             records.append(merge(net, workers, cfg.policy, merge_id=len(records) + 1, step=step,
                                  init=cfg.init, rng=merge_rng))
-    return net, np.array(losses), records
+        weights.append(weights_from_factors())
+        prod = weights[-1][0]
+        for w in weights[-1][1:]:
+            prod = w @ prod
+        mses.append(0.5 * np.sum((prod - task.W_star) ** 2))
+        if cfg.stop_mse is not None and mses[-1] <= cfg.stop_mse:
+            break
+    return net, np.array(losses), records, weights, np.array(mses)
 
 
 class TestRunMatchesHandDrivenWorkers:
@@ -870,7 +891,7 @@ class TestRunMatchesHandDrivenWorkers:
     @settings(max_examples=60, derandomize=True, deadline=None)
     def test_bitwise_equal(self, cfg):
         res = run_lte(cfg)
-        net, losses, records = _lte_by_hand(cfg)
+        net, losses, records, _, _ = _lte_by_hand(cfg)
         assert np.isfinite(losses).all()
         assert res.losses.tobytes() == losses.tobytes()
         for la, lb in zip(res.network.layers, net.layers):
@@ -884,6 +905,64 @@ class TestRunMatchesHandDrivenWorkers:
                 for f_a, f_b in zip(pair_a or (), pair_b or ()):
                     assert f_a.tobytes() == f_b.tobytes()
             assert [d.tobytes() for d in got.delta] == [d.tobytes() for d in want.delta]
+
+
+class TestOneProductPerInterval:
+    """An exact run keeps each layer's stale product for its merge interval
+    and reuses a merge's product on the merge step: one dense head product
+    per layer per step, and still the eval and snapshot weights that the
+    factors give, byte for byte."""
+
+    @given(lte_configs(max_layers=3), st.integers(2, 4), st.booleans())
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_eval_and_snapshots_are_the_weights_of_the_factors(self, cfg, interval, stop):
+        cfg = dataclasses.replace(cfg, snapshot_interval=interval)
+        if stop:
+            # a stop_mse that first holds at a later step without a snapshot:
+            # that step's MSE, where it is below every earlier one
+            mse = run_lte(cfg).eval_mse
+            stops = [s for s in range(2, cfg.total_steps) if s % interval
+                     and 0 < mse[s - 1] < mse[:s - 1].min()]
+            assume(stops)
+            cfg = dataclasses.replace(cfg, stop_mse=float(mse[stops[0] - 1]))
+        res = run_lte(cfg)
+        _, losses, _, weights, mses = _lte_by_hand(cfg)
+        assert res.losses.tobytes() == losses.tobytes()
+        assert res.eval_mse.tobytes() == mses.tobytes()
+        if stop:
+            assert res.stopped_at == res.steps_run == stops[0]
+            assert res.snapshots[-1].step == res.stopped_at
+        assert res.snapshots[-1].step == res.steps_run
+        for snap in res.snapshots:
+            assert [w.tobytes() for w in snap.weights] == [w.tobytes() for w in weights[snap.step]]
+
+    @pytest.mark.parametrize("stop", [False, True], ids=["to-the-end", "stop_mse"])
+    def test_exact_run_takes_one_product_per_layer_per_step(self, monkeypatch, stop):
+        calls = [0]
+
+        def counted(A, B):
+            calls[0] += 1
+            return network.head_product(A, B)
+
+        monkeypatch.setattr(lte, "head_product", counted)
+        T, n_merges, n_layers = 5, 4, 2
+        cfg = ls_config(mode="lte", n_heads=4, dim=8, total_steps=T * n_merges,
+                        snapshot_interval=3, policy=exact_policy(period=T))
+        cfg = dataclasses.replace(cfg, arch=ArchSpec(dims=(8, 6, 8), w_init="kaiming"))
+        if stop:  # stop on the second merge step, which has no snapshot
+            cfg = dataclasses.replace(cfg, stop_mse=float(run_lte(cfg).eval_mse[2 * T - 1]))
+            calls[0] = 0
+        res = run_lte(cfg)
+        assert res.steps_run == (2 * T if stop else T * n_merges)
+        assert len(res.merges) == res.steps_run // T
+        # records keep (k, ., .) head stacks only, never a dense (m, n) product
+        assert {a.ndim for rec in res.merges for pair in rec.factors + rec.stale
+                for a in pair} == {3}
+        # the base weights at step 0, then T products per merge interval
+        # (not 2 T + 2: the stale product, the merge's own, and the merge
+        # step's eval are taken from no factors); a stop_mse break takes
+        # the final snapshot's weights again
+        assert calls[0] == n_layers * (1 + res.steps_run + stop)
 
 
 class TestPolicy:

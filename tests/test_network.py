@@ -26,7 +26,7 @@ def random_net(rng, dims=(4, 5), n_heads=2, r=2, alpha=None, activation="identit
 
 def mse_batch(rng, net, b=3):
     x = rng.child("x").standard_normal((net.in_dim, b))
-    y = rng.child("y").standard_normal((net.out_dim, b))
+    y = rng.child("y").standard_normal((net.layers[-1].m, b))
     return Batch(inputs=x, targets=y)
 
 
@@ -34,7 +34,7 @@ class TestForward:
     def test_one_layer_matches_layer_ops(self):
         net = random_net(RandomSource(0))
         layer = net.layers[0]
-        (a0, b0), (a1, b1) = [(h.A, h.B) for h in layer.heads]
+        (a0, b0), (a1, b1) = layer.factors(0), layer.factors(1)
         s = layer.s
         x = RandomSource(1).standard_normal((4, 3))
         ao = RandomSource(2).child("A°").standard_normal((2, 4))
@@ -185,7 +185,7 @@ class TestModeTerms:
         batch = mse_batch(RandomSource(32), net)
         for layer in net.layers:
             for i in (0, 2):
-                layer.heads[i].A = np.full_like(layer.heads[i].A, np.nan)
+                layer.A[i] = np.nan
         loss, grads = loss_and_grad(net, batch, Mode.worker(1))
         assert np.isfinite(loss)
         for g in grads:
@@ -442,12 +442,12 @@ class TestFdCheck:
     def test_network_restored_bitwise(self):
         net = random_net(RandomSource(26))
         before = [layer.W.copy() for layer in net.layers] + [
-            arr.copy() for layer in net.layers for h in layer.heads for arr in (h.A, h.B)
+            arr.copy() for layer in net.layers for arr in (layer.A, layer.B)
         ]
         batch = mse_batch(RandomSource(27), net)
         fd_check(net, batch, Mode.multi())
         after = [layer.W for layer in net.layers] + [
-            arr for layer in net.layers for h in layer.heads for arr in (h.A, h.B)
+            arr for layer in net.layers for arr in (layer.A, layer.B)
         ]
         for a, b in zip(before, after):
             np.testing.assert_array_equal(a, b)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltelab.optim import AdamState, OptimConfig, adamw_step, sgd_step
 
@@ -97,6 +99,46 @@ class TestAdamW:
             p, st = adamw_step(p, np.random.default_rng(i).standard_normal((2, 2)), st, cfg)
             assert st.step_count == i + 1
             assert np.all(st.v >= 0)
+
+
+def _textbook_adamw(param, grad, state, cfg):
+    """AdamW as the docstring writes it, one fresh array per operation."""
+    t = state.step_count + 1
+    m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * grad
+    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * (grad * grad)
+    m_hat = m / (1.0 - cfg.beta1**t)
+    v_hat = v / (1.0 - cfg.beta2**t)
+    new = param - cfg.eta * cfg.weight_decay * param - cfg.eta * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    return new, AdamState(m=m, v=v, step_count=t)
+
+
+class TestAdamWFewerTemporaries:
+    """`adamw_step` works on a few fresh arrays in place, yet stays pure and
+    bitwise equal to the textbook out-of-place formula."""
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(shape=st.lists(st.integers(1, 7), min_size=1, max_size=3).map(tuple),
+           weight_decay=st.sampled_from([0.0, 0.01, 0.5]), steps=st.integers(1, 6),
+           eps=st.sampled_from([0.0, 1e-8]), seed=st.integers(0, 2**32 - 1))
+    def test_bitwise_textbook_and_pure(self, shape, weight_decay, steps, eps, seed):
+        cfg = OptimConfig(eta=0.03, eps=eps, weight_decay=weight_decay)
+        rng = np.random.default_rng(seed)
+        p_got = p_want = rng.standard_normal(shape)
+        st_got, st_want = AdamState.zeros(shape), AdamState.zeros(shape)
+        for _ in range(steps):
+            g = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3)
+            inputs = (p_got, g, st_got.m, st_got.v)
+            before = [a.copy() for a in inputs]
+            p_got, st_got = adamw_step(p_got, g, st_got, cfg)
+            p_want, st_want = _textbook_adamw(p_want, g, st_want, cfg)
+            for a, b in zip(inputs, before):
+                assert a.tobytes() == b.tobytes()
+            outputs = (p_got, st_got.m, st_got.v)
+            assert not any(np.shares_memory(a, b) for a in outputs for b in inputs)
+            assert p_got.tobytes() == p_want.tobytes()
+            assert st_got.m.tobytes() == st_want.m.tobytes()
+            assert st_got.v.tobytes() == st_want.v.tobytes()
+            assert st_got.step_count == st_want.step_count
 
 
 class TestConfigValidation:
