@@ -200,7 +200,7 @@ class RunConfig:
             )
 
 
-_CONFIG_ALIASES = {"N": "n_heads", "r": "rank"}
+_CONFIG_ALIASES = {"N": "n_heads", "r": "rank", "T": "policy.period", "merge_period": "policy.period"}
 _CONFIG_KEYS = {
     "mode", "dataset", "arch", "n_heads", "rank", "alpha", "optimizer",
     "optim", "policy", "batch_size", "total_steps", "snapshot_interval", "seed", "init",
@@ -213,24 +213,24 @@ def config_from_dict(raw: dict) -> RunConfig:
 
     Accepts the short axis names N, r, T as aliases (T names the merge
     period and lands in the policy). Unknown keys are rejected so typos
-    fail fast instead of silently using defaults.
+    fail fast instead of silently using defaults, and so is a field named
+    twice: an alias and its long name, or two of T, merge_period, policy.period.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"config: expected an object, got {type(raw).__name__}")
     data = {}
-    policy_extra = {}
+    named = {}  # field -> the key that named it
+    if isinstance(raw.get("policy"), dict) and "period" in raw["policy"]:
+        named["policy.period"] = "policy.period"
     for key, value in raw.items():
-        if key in ("T", "merge_period"):
-            policy_extra["period"] = value
-            continue
-        key = _CONFIG_ALIASES.get(key, key)
-        if key not in _CONFIG_KEYS:
+        field = _CONFIG_ALIASES.get(key, key)
+        if field not in _CONFIG_KEYS and key not in _CONFIG_ALIASES:
             raise ConfigError(f"{key}: unknown config field")
-        data[key] = value
-    if policy_extra:
-        merged = dict(data.get("policy", {}))
-        merged.update(policy_extra)
-        data["policy"] = merged
+        if field in named:
+            raise ConfigError(f"{key}: names the same field as {named[field]}; give one of them")
+        named[field] = key
+        data[field] = value
+    period = {"period": data.pop("policy.period")} if "policy.period" in data else {}
     for required in ("mode", "dataset", "arch"):
         if required not in data:
             raise ConfigError(f"{required}: missing required field")
@@ -249,7 +249,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"optim: {exc}") from exc
     try:
-        data["policy"] = MergePolicy(**data.get("policy", {}))
+        data["policy"] = MergePolicy(**data.get("policy", {}), **period)
     except (TypeError, ConfigError) as exc:
         raise ConfigError(f"policy: {exc}") from exc
     try:

@@ -214,7 +214,9 @@ def _gemms(layer: LoraLinear, mode: Mode, terms: list[Term]) -> list[Gemm]:
 def _layer_forward(layer: LoraLinear, x: Matrix, gemms: list[Gemm]) -> Matrix:
     out = layer.W @ x
     for c, A, B in gemms:
-        out = out + c * (B @ (A @ x))
+        t = B @ (A @ x)
+        t *= c
+        out += t  # in place, bitwise out + c * t: both are fresh
     return out
 
 
@@ -380,7 +382,9 @@ def loss_and_grad(
 def _input_grad(layer: LoraLinear, gemms: list[Gemm], u: Matrix) -> Matrix:
     dx = layer.W.T @ u
     for c, A, B in gemms:
-        dx = dx + c * (_t(A) @ (_t(B) @ u))
+        t = _t(A) @ (_t(B) @ u)
+        t *= c
+        dx += t
     return dx
 
 

@@ -60,6 +60,15 @@ def _label_word(label) -> int:
     raise TypeError(f"stream labels must be int or str, got {type(label).__name__}")
 
 
+def _uint32_words(n: int) -> list[int]:
+    """n's little-endian 32-bit words, [0] for 0, as SeedSequence splits an int."""
+    words = [n & 0xFFFFFFFF]
+    while n > 0xFFFFFFFF:
+        n >>= 32
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
 class RandomSource:
     """Seeded, splittable randomness on a counter-based (Philox) generator.
 
@@ -67,6 +76,12 @@ class RandomSource:
     derived purely from ``(seed, label path)``, never from how much the parent
     has drawn, so ``child(...)`` commutes with drawing and the streams of
     distinct label paths are mutually independent and reproducible.
+
+    The stream at ``(seed, path)`` is exactly
+    ``SeedSequence(entropy=seed, spawn_key=path)``'s, seeded from the uint32
+    words that SeedSequence assembles from the two (the seed's, zero-padded to
+    the pool size under a non-empty path, then each path entry's), which
+    spares SeedSequence coercing the path element by element.
     """
 
     def __init__(self, seed: int, _path: tuple[int, ...] = ()):
@@ -75,7 +90,12 @@ class RandomSource:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
         self.seed = seed
         self.path = tuple(_path)
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)
+        words = _uint32_words(seed)
+        if self.path:
+            words += [0] * (4 - len(words))  # SeedSequence's pool size
+            for label in self.path:
+                words += _uint32_words(label)
+        ss = np.random.SeedSequence(np.array(words, dtype=np.uint32))
         self._gen = np.random.Generator(np.random.Philox(ss))
 
     def child(self, *labels) -> "RandomSource":

@@ -1322,6 +1322,32 @@ class TestConfig:
                 "total_steps": 20,
             })
 
+    @pytest.mark.parametrize("extra,first,second", [
+        ({"T": 5, "merge_period": 10}, "T", "merge_period"),
+        ({"merge_period": 10, "T": 5}, "merge_period", "T"),
+        ({"T": 5, "policy": {"period": 10}}, "policy.period", "T"),
+        ({"policy": {"period": 10}, "merge_period": 5}, "policy.period", "merge_period"),
+        ({"N": 2, "n_heads": 4}, "N", "n_heads"),
+        ({"r": 1, "rank": 2}, "r", "rank"),
+    ])
+    def test_from_dict_rejects_a_field_named_twice(self, extra, first, second):
+        # no key silently wins: the error names both
+        base = {"mode": "lte", "dataset": {"m": 8, "n": 8, "rank": 8},
+                "arch": {"dims": [8, 8]}, "total_steps": 20}
+        with pytest.raises(ConfigError, match=f"^{second}: .* {first};"):
+            config_from_dict({**base, **extra})
+        config_from_dict({**base, **{k: v for k, v in extra.items() if k != second}})
+
+    @pytest.mark.parametrize("extra", [
+        {"policy": 5}, {"policy": 5, "T": 3}, {"policy": [["reset_A", True]], "T": 3},
+    ])
+    def test_from_dict_rejects_a_policy_that_is_no_object(self, extra):
+        # with or without T, the policy goes through one checked construction
+        base = {"mode": "lte", "dataset": {"m": 8, "n": 8, "rank": 8},
+                "arch": {"dims": [8, 8]}, "total_steps": 20}
+        with pytest.raises(ConfigError, match="^policy:"):
+            config_from_dict({**base, **extra})
+
     def test_arch_dataset_dims_must_match(self):
         cfg = ls_config()
         bad = dataclasses.replace(cfg, dataset=dataclasses.replace(cfg.dataset, m=8, rank=8))

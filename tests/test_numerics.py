@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltelab.numerics import (
     InitScheme,
@@ -118,6 +120,44 @@ class TestRandomSource:
     def test_seed_range(self):
         with pytest.raises(ValueError):
             RandomSource(2**64)
+
+    EDGE_INTS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        seed=st.one_of(st.sampled_from(EDGE_INTS), st.integers(0, 2**64 - 1)),
+        calls=st.lists(
+            st.lists(st.one_of(st.sampled_from(EDGE_INTS), st.integers(0, 2**80), st.text(max_size=6)),
+                     min_size=1, max_size=2),
+            max_size=3,
+        ),
+    )
+    def test_stream_is_seed_sequence_with_spawn_key(self, seed, calls):
+        # the words RandomSource hands SeedSequence are the ones SeedSequence
+        # assembles from (entropy=seed, spawn_key=path): the same pool, the
+        # same Philox key, the same draws
+        source = RandomSource(seed)
+        for labels in calls:
+            source = source.child(*labels)
+        assert len(source.path) == sum(map(len, calls))
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=source.path)
+        ref = np.random.Generator(np.random.Philox(ss))
+        np.testing.assert_array_equal(source.standard_normal(5), ref.standard_normal(5))
+        np.testing.assert_array_equal(source.integers(0, 2**62, 3), ref.integers(0, 2**62, 3))
+
+    @pytest.mark.parametrize("make,first", [
+        (lambda: RandomSource(0).child("merge").child(1, 0, 3),
+         [0.24873205579271396, 0.2527020279943486, -0.5679817259401856, -0.7877247882184573]),
+        (lambda: RandomSource(2**64 - 1),
+         [0.1844217285796661, 0.883078143695792, 0.8552390463788258, 0.29254057387573296]),
+        (lambda: RandomSource(7).child(2**40, 2**63 + 5, "x"),
+         [0.9493257829063486, -0.08200693066632714, -0.6580413761473978, 0.1043999021322215]),
+    ])
+    def test_recorded_first_draws(self, make, first):
+        # recorded before RandomSource assembled SeedSequence's words itself:
+        # a numpy that assembles entropy differently fails here rather than
+        # silently moving every stream
+        np.testing.assert_array_equal(make().uniform(-1, 1, 4), first)
 
 
 def test_csv_round_trip(tmp_path):
