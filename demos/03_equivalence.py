@@ -54,9 +54,8 @@ for idx in (1, 50, 100, 200):
 
 worst_param = 0.0
 for snap_l, snap_m in zip(lte.snapshots, mh.snapshots):
-    for heads_l, heads_m in zip(snap_l.params, snap_m.params):
-        for (a_l, b_l), (a_m, b_m) in zip(heads_l, heads_m):
-            worst_param = max(worst_param, np.abs(a_l - a_m).max(), np.abs(b_l - b_m).max())
+    for (a_l, b_l), (a_m, b_m) in zip(snap_l.params, snap_m.params):
+        worst_param = max(worst_param, np.abs(a_l - a_m).max(), np.abs(b_l - b_m).max())
 print(f"\nworst parameter-level |difference| over all heads and steps: {worst_param:.3e}")
 
 # Contrast: the reset-based averaged merge is NOT the same trajectory.

@@ -350,11 +350,12 @@ class RankTrace:
 
 
 def update_rank_trace(run) -> RankTrace:
-    """Rank trajectory of a recorded run (any mode; merges may be empty)."""
+    """Rank trajectory of a recorded run (any mode; merges may be empty):
+    the merge increments' ranks, and the weight and update ranks each
+    snapshot already holds."""
     if not run.snapshots:
         raise ValueError("run has no snapshots")
     n_layers = len(run.snapshots[0].weights)
-    base = run.snapshots[0].weights
 
     merge_steps = np.asarray([rec.step for rec in run.merges])
     delta_rank = np.full((len(run.merges), n_layers), np.nan)
@@ -366,21 +367,11 @@ def update_rank_trace(run) -> RankTrace:
             else:
                 skipped.append((rec.merge_id, li))
 
-    snapshot_steps = np.asarray([s.step for s in run.snapshots])
-    weight_rank = np.full((len(run.snapshots), n_layers), np.nan)
-    cumulative_rank = np.full((len(run.snapshots), n_layers), np.nan)
-    for si, snap in enumerate(run.snapshots):
-        for li, w in enumerate(snap.weights):
-            if np.any(w != 0.0):
-                weight_rank[si, li] = effective_rank(w)
-            change = w - base[li]
-            if np.any(change != 0.0):
-                cumulative_rank[si, li] = effective_rank(change)
     return RankTrace(
         merge_steps=merge_steps,
         delta_rank=delta_rank,
-        snapshot_steps=snapshot_steps,
-        weight_rank=weight_rank,
-        cumulative_rank=cumulative_rank,
+        snapshot_steps=np.asarray([s.step for s in run.snapshots]),
+        weight_rank=np.asarray([s.weight_rank for s in run.snapshots], dtype=float),
+        cumulative_rank=np.asarray([s.update_rank for s in run.snapshots], dtype=float),
         skipped=tuple(skipped),
     )

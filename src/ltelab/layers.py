@@ -9,7 +9,7 @@ made in one place, `ltelab.network.Mode.terms`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,8 +72,6 @@ class LoraLinear:
         r = heads[0].rank if heads else 0
         self.A = np.array([h.A for h in heads], dtype=np.float64).reshape(len(heads), r, n)
         self.B = np.array([h.B for h in heads], dtype=np.float64).reshape(len(heads), m, r)
-        # per-head views, made once: the stacks are never rebound
-        self._factors = tuple((self.A[i], self.B[i]) for i in range(len(heads)))
 
     def factors(self, heads: int | range) -> tuple[Matrix, Matrix]:
         """(A, B) as views on the stacks: (r, n) and (m, r) for one head
@@ -81,7 +79,7 @@ class LoraLinear:
         if not isinstance(heads, range):
             if not 0 <= heads < self.num_heads:
                 raise IndexError(f"head {heads} is not one of the layer's {self.num_heads}")
-            return self._factors[heads]
+            return self.A[heads], self.B[heads]
         if heads.start < 0 or heads.stop > self.num_heads:
             raise IndexError(f"heads {heads} are outside the layer's {self.num_heads}")
         return self.A[heads.start:heads.stop], self.B[heads.start:heads.stop]
@@ -114,13 +112,14 @@ class LoraLinear:
 
 @dataclass
 class LayerGradients:
-    """Gradients for one layer. Head entries are keyed by head index, or by
-    a range of k heads holding their (k, ...) stack (batched worker mode,
-    and multi mode on a stack of shards)."""
+    """Gradients for one layer: dW in full mode, else dA and dB of the one
+    trained term, shaped like its factors `layer.factors(h)`: (r, n) and
+    (m, r) for one head, (k, r, n) and (k, m, r) for a range of k heads
+    (batched worker mode, and multi mode's stack of all N)."""
 
     dW: Matrix | None = None
-    dA: dict[int | range, Matrix] = field(default_factory=dict)
-    dB: dict[int | range, Matrix] = field(default_factory=dict)
+    dA: Matrix | None = None
+    dB: Matrix | None = None
 
 
 def split_product(B: Matrix, A: Matrix, k: int) -> tuple[tuple[Matrix, Matrix], tuple[Matrix, Matrix]]:

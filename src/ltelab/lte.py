@@ -32,6 +32,7 @@ on a merge step, where the heads are the merged copies). `local_step` and
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 
@@ -42,7 +43,7 @@ from .analysis import AlignmentReport, effective_rank, head_alignment
 from .data import LeastSquaresTask, gen_least_squares
 from .layers import LoraHead, LoraLinear
 from .network import (ACTIVATIONS, LOSSES, Batch, Mode, Network, combine, correction_mismatch,
-                      head_increment, head_product, loss_and_grad)
+                      head_product, loss_and_grad, trained_pairs)
 from .numerics import INIT_KINDS, InitScheme, Matrix, RandomSource, init_matrix
 from .optim import AdamState, OptimConfig, adamw_step, sgd_step
 
@@ -53,6 +54,21 @@ HEADS_KEY = "heads"
 
 class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending field."""
+
+
+_TYPES = {"an integer": numbers.Integral, "a real number": numbers.Real, "a bool": (bool, np.bool_)}
+_OPTIONAL = {"dataset.pool", "snapshot_interval", "alpha", "stop_mse"}
+
+
+def _check_types(kind: str, fields: dict) -> None:
+    """Raise ConfigError naming the first field (path -> value) that is not
+    `kind`, a key of _TYPES; only a flag may be a bool, only an optional
+    field None."""
+    for path, value in fields.items():
+        is_flag = isinstance(value, _TYPES["a bool"])
+        if not (value is None and path in _OPTIONAL
+                or is_flag == (kind == "a bool") and isinstance(value, _TYPES[kind])):
+            raise ConfigError(f"{path}: must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -73,6 +89,9 @@ class MergePolicy:
     exact_correction: bool = False
 
     def __post_init__(self):
+        _check_types("an integer", {"policy.period": self.period})
+        _check_types("a bool", {f"policy.{flag}": getattr(self, flag) for flag in
+                                ("reset_B", "reset_A", "reset_opt", "exact_correction")})
         if self.period < 1:
             raise ConfigError(f"policy.period: must be >= 1, got {self.period}")
         if self.exact_correction and (self.reset_B or self.reset_A):
@@ -130,16 +149,21 @@ class RunConfig:
     def effective_alpha(self) -> float:
         return float(self.rank) if self.alpha is None else float(self.alpha)
 
-    @property
-    def merge_period(self) -> int:
-        return self.policy.period
-
     def validate(self) -> None:
         """Check every cross-field constraint; raises ConfigError naming the
         field path of the first violation."""
         if self.mode not in RUN_MODES:
             raise ConfigError(f"mode: must be one of {RUN_MODES}, got {self.mode!r}")
         ds, arch = self.dataset, self.arch
+        _check_types("an integer", {
+            "dataset.m": ds.m, "dataset.n": ds.n, "dataset.rank": ds.rank, "dataset.pool": ds.pool,
+            **{f"arch.dims[{i}]": d for i, d in enumerate(arch.dims)}, "N": self.n_heads,
+            "r": self.rank, "batch_size": self.batch_size, "total_steps": self.total_steps,
+            "snapshot_interval": self.snapshot_interval, "seed": self.seed})
+        _check_types("a real number", {
+            "alpha": self.alpha, "stop_mse": self.stop_mse, "arch.w_gain": arch.w_gain,
+            "init.gain": self.init.gain, **{f"optim.{k}": v for k, v in asdict(self.optim).items()}})
+        _check_types("a bool", {"record_params": self.record_params})
         if ds.kind != "least_squares":
             raise ConfigError(f"dataset.kind: unknown kind {ds.kind!r}")
         if ds.m < 1 or ds.n < 1:
@@ -200,7 +224,7 @@ class RunConfig:
             )
 
 
-_CONFIG_ALIASES = {"N": "n_heads", "r": "rank", "T": "policy.period", "merge_period": "policy.period"}
+_CONFIG_ALIASES = {"N": "n_heads", "r": "rank", "T": "policy.period"}
 _CONFIG_KEYS = {
     "mode", "dataset", "arch", "n_heads", "rank", "alpha", "optimizer",
     "optim", "policy", "batch_size", "total_steps", "snapshot_interval", "seed", "init",
@@ -214,7 +238,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     Accepts the short axis names N, r, T as aliases (T names the merge
     period and lands in the policy). Unknown keys are rejected so typos
     fail fast instead of silently using defaults, and so is a field named
-    twice: an alias and its long name, or two of T, merge_period, policy.period.
+    twice: an alias and its long name, or T and policy.period.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"config: expected an object, got {type(raw).__name__}")
@@ -239,9 +263,9 @@ def config_from_dict(raw: dict) -> RunConfig:
     except TypeError as exc:
         raise ConfigError(f"dataset: {exc}") from exc
     try:
-        arch = dict(data["arch"])
-        arch["dims"] = tuple(arch.get("dims", ()))
-        data["arch"] = ArchSpec(**arch)
+        if not isinstance(data["arch"], dict):
+            raise TypeError(f"expected an object, got {type(data['arch']).__name__}")
+        data["arch"] = ArchSpec(**{**data["arch"], "dims": tuple(data["arch"].get("dims", ()))})
     except TypeError as exc:
         raise ConfigError(f"arch: {exc}") from exc
     try:
@@ -250,7 +274,7 @@ def config_from_dict(raw: dict) -> RunConfig:
         raise ConfigError(f"optim: {exc}") from exc
     try:
         data["policy"] = MergePolicy(**data.get("policy", {}), **period)
-    except (TypeError, ConfigError) as exc:
+    except TypeError as exc:  # MergePolicy's own ConfigErrors name their policy.* path
         raise ConfigError(f"policy: {exc}") from exc
     try:
         data["init"] = InitScheme(**data.get("init", {"kind": "semi_orthogonal"}))
@@ -353,9 +377,9 @@ class UpdateRecord:
     read-only and shared with the next record, whose stale they are; the
     first record's stale stacks are zeros. `merge` records fresh stacks of
     its workers' corrections. delta[layer] recomputes the dense increment
-    c (B A - B° A°) with `head_increment`, bitwise what the merge added to
-    W. Worker n's contribution, s (B_n A_n - B°_n A°_n), comes from slice n
-    of each stack."""
+    c (B A - B° A°), `combine` of the stacks' `head_product`s, bitwise what
+    the merge added to W. Worker n's contribution, s (B_n A_n - B°_n A°_n),
+    comes from slice n of each stack."""
 
     merge_id: int
     step: int
@@ -365,19 +389,24 @@ class UpdateRecord:
 
     @property
     def delta(self) -> list[Matrix]:
-        return [head_increment(c, A, B, stale)
+        return [combine(c, head_product(A, B), None if stale is None else head_product(*stale))
                 for c, (A, B), stale in zip(self.coefs, self.factors, self.stale)]
 
 
 @dataclass
 class Snapshot:
+    """The run at one step: per layer the effective weight, the alignment
+    of the heads, the effective ranks of the weight and of its change since
+    step 0 (NaN for a zero matrix) and, with record_params, copies of the
+    head stacks (A, B), laid out like `UpdateRecord.factors`."""
+
     step: int
     merge_id: int
     weights: list[Matrix]
     alignment: list[AlignmentReport] | None
     weight_rank: list[float]
     update_rank: list[float]
-    params: list[list[tuple[Matrix, Matrix]]] | None = None
+    params: list[tuple[Matrix, Matrix]] | None = None
 
 
 @dataclass
@@ -424,23 +453,19 @@ def local_step(worker: WorkerState, net: Network, batch: Batch) -> float:
 
 def _train_heads(net: Network, opt: KeyedOptimizer, batch: Batch, mode: Mode, corrections=None):
     """One loss_and_grad call in `mode`, then one optimizer call, keyed
-    HEADS_KEY, for every array the mode trains: every layer's W in full
-    mode, else the factors of the mode's heads (one head, a range of k, or
-    in multi mode all N). They and their gradients are gathered head-major:
-    row j holds head j's A and B of layer 0, then of layer 1, and so on,
-    flattened, a (k, P) array with P = sum over layers of r (n + m), or one
-    (P,) vector for one head or for the W's. The result is written back in
-    place. The optimizer is element-wise, so row j moves exactly as head j
-    alone would, and its moments are row j of the state. Returns the loss,
-    one per slice for a stacked batch."""
+    HEADS_KEY, for every array the mode trains (`trained_pairs`): every
+    layer's W in full mode, else the factors of the mode's one trained term
+    (one head, a range of k, or multi mode's stack of all N). They and their
+    gradients are gathered head-major: row j holds head j's A and B of
+    layer 0, then of layer 1, and so on, flattened, a (k, P) array with
+    P = sum over layers of r (n + m), or one (P,) vector for one head or for
+    the W's. The result is written back in place. The optimizer is
+    element-wise, so row j moves exactly as head j alone would, and its
+    moments are row j of the state. Returns the loss, one per slice for a
+    stacked batch."""
     loss, grads = loss_and_grad(net, batch, mode, corrections=corrections)
-    if mode.kind == "full":
-        params, dparams, rows = [layer.W for layer in net.layers], [g.dW for g in grads], ()
-    else:
-        heads = range(net.layers[0].num_heads) if mode.kind == "multi" else mode.head
-        params = [f for layer in net.layers for f in layer.factors(heads)]
-        dparams = [d[heads] for g in grads for d in (g.dA, g.dB)]
-        rows = (len(heads),) if isinstance(heads, range) else ()
+    params, dparams = zip(*trained_pairs(net, mode, grads))
+    rows = params[0].shape[:-2]  # (k,) for a stack of k heads, else ()
     flat = [p.reshape(rows + (-1,)) for p in params]
     dflat = [d.reshape(rows + (-1,)) for d in dparams]
     new = opt.step(HEADS_KEY, np.concatenate(flat, axis=-1), np.concatenate(dflat, axis=-1))
@@ -649,7 +674,7 @@ def run(cfg: RunConfig) -> RunResult:
     if merging and cfg.policy.exact_correction:
         stale = [(np.zeros_like(layer.A), np.zeros_like(layer.B)) for layer in net.layers]
         stale_prods = [np.zeros_like(layer.W) for layer in net.layers]
-    period = cfg.merge_period
+    period = cfg.policy.period
     interval = cfg.snapshot_interval or (period if merging else cfg.total_steps)
     merge_rng = root.child("merge")
     record_params = cfg.record_params and n_heads > 0
@@ -666,10 +691,7 @@ def run(cfg: RunConfig) -> RunResult:
         update_rank = (list(weight_rank) if zero_base
                        else [_rank(w - w0) for w, w0 in zip(weights, base_weights)])
         merged = merges[-1] if merges and merges[-1].step == step else None
-        params = None
-        if record_params:
-            params = [[(A.copy(), B.copy()) for A, B in zip(layer.A, layer.B)]
-                      for layer in net.layers]
+        params = [(layer.A.copy(), layer.B.copy()) for layer in net.layers] if record_params else None
         return Snapshot(
             step=step,
             merge_id=len(merges),

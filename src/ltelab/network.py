@@ -6,27 +6,29 @@ by b. Every layer computes
 
   W x + sum over active terms of  c * B (A x)
 
-and a training regime is nothing more than its choice of terms, one
-(head key h, coefficient c, A, B) per active head:
+and a training regime is nothing more than its choice of terms
+(head key h, coefficient c, A, B), at most one of them trained:
 
   full    -- no terms (standard training; W receives gradients)
   single  -- head h at coefficient s (plain single-adapter training)
-  multi   -- every head at coefficient s/N (joint multi-head training);
-             given an (N, n, b) stack of N shards, every slice runs the
-             full multi-head view, the loss is the vector of N per-shard
-             losses and head j's gradient comes from slice j only
+  multi   -- the one stacked term (range(N), s/N, A, B) of every head
+             (joint multi-head training); given an (N, n, b) stack of N
+             shards, every slice runs the full multi-head view, the loss is
+             the vector of N per-shard losses and head j's gradient comes
+             from slice j only
   worker  -- head h at coefficient s/N, plus optionally the untrained term
              (None, -s/N, A°, B°) of the head's factors at the last merge
              (one worker's local view); given a range of k heads, k workers'
              views at once: every array carries a leading axis of length k,
              and every product is one batched matmul
 
-`Mode.terms` is the only place a coefficient is chosen; the head gradients
-and the finite-difference probe loop over its terms. The forward pass and
-the input gradient run one GEMM pair per term, except in multi mode, where
-every head shares the coefficient s/N and the layer runs them as the one
-term (s/N, A_cat, B_cat) of all heads' factors concatenated in index
-order, B_cat (m, N r) and A_cat (N r, n): W x + (s/N) B_cat (A_cat x).
+`Mode.terms` is the only place a coefficient is chosen. The head
+gradients are those of the trained term, arrays shaped like its factors,
+and `trained_pairs` pairs every trained array with its gradient for the
+optimizer and the finite-difference probe. The forward pass and the input
+gradient run one GEMM pair per term; in multi mode that pair is over the
+stack's factors concatenated in index order, B_cat (m, N r) and
+A_cat (N r, n): W x + (s/N) B_cat (A_cat x).
 The dense increment the multi-head view adds to W,
 (s/N) * (sum_n B_n A_n - sum_n B°_n A°_n), is `combine`, the one
 arithmetic W + c (P - P°), of products P = B_cat A_cat of the same
@@ -48,8 +50,9 @@ LOSSES = ("mse", "softmax_ce")
 MODE_KINDS = ("full", "single", "multi", "worker")
 
 # (head key h, coefficient c, A, B): the layer adds c * B A to its base
-# weight. h is a head index, a range of k heads (A and B then (k, ...)
-# stacks), or None for a stale correction, which trains nothing.
+# weight, summed over the heads of a stack in multi mode. h is a head index,
+# a range of k heads (A and B then (k, ...) stacks), or None for a stale
+# correction, which trains nothing.
 Term = tuple[int | range | None, float, Matrix, Matrix]
 # (c, A, B): one GEMM pair c * B (A x) of the forward pass and its transpose
 # c * Aᵀ (Bᵀ u) in the input gradient
@@ -99,16 +102,16 @@ class Mode:
 
     def terms(self, layer: LoraLinear, correction: tuple[Matrix, Matrix] | None = None
               ) -> list[Term]:
-        """The layer's active terms, factors resolved; heads with coefficient
-        zero are left out. Only worker mode carries a correction, the pair
-        (A°, B°), as the term (None, -c, A°, B°) (`forward` rejects one in
-        any other mode)."""
+        """The layer's active terms, factors resolved: none in full mode,
+        else the trained term first. Only worker mode carries a correction,
+        the pair (A°, B°), as the term (None, -c, A°, B°) (`forward` rejects
+        one in any other mode)."""
         if self.kind == "full":
             return []
         c = layer.s if self.kind == "single" else layer.s / layer.num_heads
-        heads = range(layer.num_heads) if self.kind == "multi" else [self.head]
+        head = range(layer.num_heads) if self.kind == "multi" else self.head
         stale = [] if self.kind != "worker" or correction is None else [(None, -c, *correction)]
-        return [(h, c, *layer.factors(h)) for h in heads] + stale
+        return [(head, c, *layer.factors(head))] + stale
 
 
 @dataclass
@@ -202,13 +205,11 @@ def _concat(A: Matrix, B: Matrix) -> tuple[Matrix, Matrix]:
     return A.reshape(-1, A.shape[-1]), B.transpose(1, 0, 2).reshape(B.shape[1], -1)
 
 
-def _gemms(layer: LoraLinear, mode: Mode, terms: list[Term]) -> list[Gemm]:
-    """The GEMM pairs the forward and the input gradient run: one per term,
-    or in multi mode, where every head has the one coefficient s/N, one
-    over all heads' factors concatenated (`_concat`)."""
-    if mode.kind == "multi":
-        return [(terms[0][1], *_concat(layer.A, layer.B))]
-    return [(c, A, B) for _, c, A, B in terms]
+def _gemms(mode: Mode, terms: list[Term]) -> list[Gemm]:
+    """The GEMM pairs the forward and the input gradient run, one per term;
+    multi mode's stacked term sums its heads, so its pair is over their
+    factors concatenated (`_concat`)."""
+    return [(c, *_concat(A, B)) if mode.kind == "multi" else (c, A, B) for _, c, A, B in terms]
 
 
 def _layer_forward(layer: LoraLinear, x: Matrix, gemms: list[Gemm]) -> Matrix:
@@ -242,15 +243,6 @@ def combine(c: float, prod: Matrix, stale_prod: Matrix | None = None,
     if W is not None:
         out += W
     return out
-
-
-def head_increment(c: float, A: Matrix, B: Matrix, stale: tuple[Matrix, Matrix] | None = None
-                   ) -> Matrix:
-    """c * (sum_h B_h A_h - sum_h B°_h A°_h) for head stacks A (k, r, n) and
-    B (k, m, r) and, given, the stale stacks (A°, B°): `combine` of their
-    `head_product`s, exactly 0 when the stale stacks equal the heads. An lte
-    merge record's delta is this."""
-    return combine(c, head_product(A, B), None if stale is None else head_product(*stale))
 
 
 def effective_weight(layer: LoraLinear, stale: tuple[Matrix, Matrix] | None = None) -> Matrix:
@@ -301,7 +293,7 @@ def _forward(net: Network, x: Matrix, mode: Mode, corrections) -> tuple[Matrix, 
             raise ValueError(f"shard stack of {x.shape[0]} does not match the layer's "
                              f"{layer.num_heads} heads")
         terms = mode.terms(layer, corr)
-        gemms = _gemms(layer, mode, terms)
+        gemms = _gemms(mode, terms)
         z = _layer_forward(layer, x, gemms)
         cache.append({"x": x, "z": z, "terms": terms, "gemms": gemms})
         x = np.maximum(z, 0.0) if act == "relu" else z
@@ -347,15 +339,14 @@ def loss_and_grad(
     net: Network, batch: Batch, mode: Mode, corrections=None
 ) -> tuple[float | np.ndarray, list[LayerGradients]]:
     """Loss plus gradients for every parameter the mode trains: dW in full
-    mode, the active heads' dA and dB otherwise.
+    mode, else dA and dB of the trained term, arrays shaped like its factors.
 
     For a range of worker heads the loss is the vector of the k workers'
     losses. For an (N, n, b) stack of shards in multi mode it is the vector
     of the N shards' losses; the input gradient runs through all heads, but
-    head j's gradient comes from shard j alone, keyed by range(N) as one
-    (N, ...) stack per factor, as batched worker mode keys it.
+    head j's gradient comes from shard j alone (on one 2-D batch the
+    broadcast gives every head its gradient from the whole batch).
     """
-    sharded = _sharded(mode, batch.inputs)
     out, cache = _forward(net, batch.inputs, mode, corrections)
     loss_val, u = _loss_and_output_grad(out, batch, net.loss)
     grads = [LayerGradients() for _ in net.layers]
@@ -365,15 +356,12 @@ def loss_and_grad(
         if net.activations[i] == "relu":
             u = u * (z > 0.0)
         g = grads[i]
-        if mode.kind == "full":
+        if terms:  # the trained term; a stale correction after it trains nothing
+            _, c, A, B = terms[0]
+            g.dB = c * (u @ _t(A @ x))
+            g.dA = c * ((_t(B) @ u) @ _t(x))
+        else:
             g.dW = u @ _t(x)
-        # slice j of a shard stack trains head j only: one stacked entry
-        head_terms = [(range(layer.num_heads), terms[0][1], layer.A, layer.B)] if sharded else terms
-        for h, c, A, B in head_terms:
-            if h is None:  # a stale correction trains nothing
-                continue
-            g.dB[h] = c * (u @ _t(A @ x))
-            g.dA[h] = c * ((_t(B) @ u) @ _t(x))
         if i > 0:
             u = _input_grad(layer, cache[i]["gemms"], u)
     return loss_val, grads
@@ -388,16 +376,19 @@ def _input_grad(layer: LoraLinear, gemms: list[Gemm], u: Matrix) -> Matrix:
     return dx
 
 
-def _trainable_slots(net: Network, mode: Mode):
-    """(layer index, kind, head index, array) for every trained tensor."""
-    slots = []
-    for i, layer in enumerate(net.layers):
+def trained_pairs(net: Network, mode: Mode, grads: list[LayerGradients]
+                  ) -> list[tuple[Matrix, Matrix]]:
+    """(array, gradient) for every array the mode trains, layer by layer:
+    each W in full mode, else each layer's A then B of the trained term,
+    views on the stacks that an update writes through."""
+    pairs = []
+    for layer, g in zip(net.layers, grads):
         if mode.kind == "full":
-            slots.append((i, "W", None, layer.W))
-        for h, _, A, B in mode.terms(layer):
-            slots.append((i, "A", h, A))
-            slots.append((i, "B", h, B))
-    return slots
+            pairs.append((layer.W, g.dW))
+        else:
+            _, _, A, B = mode.terms(layer)[0]
+            pairs += [(A, g.dA), (B, g.dB)]
+    return pairs
 
 
 def fd_check(
@@ -427,24 +418,16 @@ def fd_check(
         raise ValueError("fd_check takes no multi-mode shard stack: its head gradients "
                          "differentiate no single loss")
     _, grads = loss_and_grad(net, batch, mode, corrections)
-    slots = _trainable_slots(net, mode)
-    coords = []
-    for s_idx, (li, kind, h_idx, arr) in enumerate(slots):
-        for flat in range(arr.size):
-            coords.append((s_idx, flat))
+    pairs = trained_pairs(net, mode, grads)
+    coords = [(i, flat) for i, (arr, _) in enumerate(pairs) for flat in range(arr.size)]
     rng = rng or RandomSource(0)
     if len(coords) > num_params:
         picked = rng.choice(len(coords), size=num_params, replace=False)
         coords = [coords[int(i)] for i in picked]
     worst = 0.0
-    for s_idx, flat in coords:
-        li, kind, h_idx, arr = slots[s_idx]
-        if kind == "W":
-            analytic = grads[li].dW.flat[flat]
-        elif kind == "A":
-            analytic = grads[li].dA[h_idx].flat[flat]
-        else:
-            analytic = grads[li].dB[h_idx].flat[flat]
+    for i, flat in coords:
+        arr, grad = pairs[i]
+        analytic = grad.flat[flat]
         old = arr.flat[flat]
         arr.flat[flat] = old + step
         hi = float(np.sum(loss_value(net, batch, mode, corrections)))

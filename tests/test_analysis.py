@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -463,6 +464,29 @@ class TestUpdateRankTrace:
         assert abs(trace.weight_rank[1, 0] - 4.0) <= 1e-12
         assert trace.skipped == ((1, 0),)
         assert math.isnan(trace.delta_rank[0, 0])
+
+    @pytest.mark.parametrize("dims,w_init", [((8, 8), "zeros"), ((8, 6, 8), "kaiming")])
+    def test_reads_the_ranks_the_snapshots_hold(self, dims, w_init):
+        # weight and cumulative ranks are effective_rank of each snapshot's
+        # weights and of their change since step 0 (NaN where zero)
+        cfg = ls_config(mode="lte", n_heads=2, rank=2, dim=8, total_steps=12, period=3,
+                        snapshot_interval=2)
+        cfg = dataclasses.replace(cfg, arch=dataclasses.replace(cfg.arch, dims=dims, w_init=w_init))
+        res = run_lte(cfg)
+        trace = update_rank_trace(res)
+        base = res.snapshots[0].weights
+
+        def rank(m):
+            return effective_rank(m) if np.any(m != 0.0) else np.nan
+
+        want_weight = [[rank(w) for w in snap.weights] for snap in res.snapshots]
+        want_change = [[rank(w - w0) for w, w0 in zip(snap.weights, base)]
+                       for snap in res.snapshots]
+        assert trace.weight_rank.shape == (7, len(dims) - 1)
+        np.testing.assert_array_equal(trace.weight_rank, want_weight)
+        np.testing.assert_array_equal(trace.cumulative_rank, want_change)
+        assert np.isnan(trace.cumulative_rank[0]).all()
+        assert np.isnan(trace.weight_rank[0]).all() == (w_init == "zeros")
 
     def test_merge_delta_ranks_bounded_by_head_rank(self):
         res = run_lte(ls_config(mode="lte", n_heads=1, rank=2, dim=8, total_steps=30, period=10))

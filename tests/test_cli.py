@@ -191,6 +191,14 @@ class TestSweep:
         assert main(["sweep", "--grid", spec, "--out", str(tmp_path / "o")]) == 2
         assert "grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("axis,value,path", [
+        ("N", 2.5, "N"), ("r", True, "r"), ("T", 2.5, "policy.period"), ("T", "5", "policy.period"),
+    ])
+    def test_wrongly_typed_grid_value_rejected(self, tmp_path, capsys, axis, value, path):
+        spec = write_json(tmp_path / "grid.json", {"base": lte_config(), "grid": {axis: [value]}})
+        assert main(["sweep", "--grid", spec, "--out", str(tmp_path / "o")]) == 2
+        assert f"error: {path}: must be" in capsys.readouterr().err
+
     def test_capacity_and_merge_frequency_orderings(self, tmp_path):
         # 3-seed medians on a full-rank 16x16 task: a larger head rank never
         # worsens the final loss at fixed (N, T), and a larger merge period

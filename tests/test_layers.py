@@ -219,8 +219,8 @@ class TestBackward:
         net = Network([layer])
         batch = Batch(inputs=x, targets=layer_out(layer, x, Mode.single(0)))
         _, grads = loss_and_grad(net, batch, Mode.single(0))
-        np.testing.assert_array_equal(grads[0].dA[0], np.zeros((2, 4)))
-        np.testing.assert_array_equal(grads[0].dB[0], np.zeros((5, 2)))
+        np.testing.assert_array_equal(grads[0].dA, np.zeros((2, 4)))
+        np.testing.assert_array_equal(grads[0].dB, np.zeros((5, 2)))
 
     def test_scalar_chain_rule(self):
         # 1-D case at s = 1 with upstream u = 0.5: dB = u*a*x, dA = b*u*x
@@ -231,8 +231,8 @@ class TestBackward:
         x = np.array([[2.0]])
         target = layer_out(layer, x, Mode.single(0)) - 0.5
         _, grads = loss_and_grad(Network([layer]), Batch(inputs=x, targets=target), Mode.single(0))
-        np.testing.assert_allclose(grads[0].dB[0], [[0.5 * 0.7 * 2.0]])
-        np.testing.assert_allclose(grads[0].dA[0], [[-1.3 * 0.5 * 2.0]])
+        np.testing.assert_allclose(grads[0].dB, [[0.5 * 0.7 * 2.0]])
+        np.testing.assert_allclose(grads[0].dA, [[-1.3 * 0.5 * 2.0]])
 
     def test_matches_finite_differences(self):
         rng = RandomSource(24)

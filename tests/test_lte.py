@@ -29,7 +29,7 @@ from ltelab.lte import (
     run_lte,
     run_mhlora,
 )
-from ltelab.network import (Batch, Mode, Network, effective_weight, forward, head_increment,
+from ltelab.network import (Batch, Mode, Network, combine, effective_weight, forward, head_product,
                             loss_and_grad)
 from ltelab.numerics import InitScheme, RandomSource, init_matrix
 from ltelab.optim import OptimConfig, sgd_step
@@ -262,8 +262,8 @@ class TestOneCallUpdate:
             ref_loss, grads = loss_and_grad(ref, batch, mode, corrections=corr)
             for li, layer in enumerate(ref.layers):
                 A, B = layer.factors(heads)
-                A[...] = opt_ref.step((li, "A"), A, grads[li].dA[heads])
-                B[...] = opt_ref.step((li, "B"), B, grads[li].dB[heads])
+                A[...] = opt_ref.step((li, "A"), A, grads[li].dA)
+                B[...] = opt_ref.step((li, "B"), B, grads[li].dB)
             assert np.asarray(loss).tobytes() == np.asarray(ref_loss).tobytes()
         for la, lb in zip(one.layers, ref.layers):
             for arr_a, arr_b in ((la.W, lb.W), (la.A, lb.A), (la.B, lb.B)):
@@ -534,7 +534,7 @@ def merge_cases(draw):
 
 
 class TestFactorRecords:
-    """A merge adds `head_increment` to W and records the factors it took
+    """A merge adds `combine`'s increment to W and records the factors it took
     the increment from, never a dense (m, n) matrix."""
 
     @settings(max_examples=80, derandomize=True, deadline=None)
@@ -628,7 +628,7 @@ def _concat_product(A, B):
 
 
 class TestInPlaceIncrement:
-    """`head_increment` scales its fresh product in place and
+    """`combine` scales a fresh head product in place and
     `effective_weight` adds W into it: bitwise the out-of-place
     W + c (P - P°), into an array no input shares."""
 
@@ -645,7 +645,8 @@ class TestInPlaceIncrement:
         want = layer.W + c * diff
         inputs = [layer.W, layer.A, layer.B, *(stale or ())]
         before = [a.tobytes() for a in inputs]
-        inc = head_increment(c, layer.A, layer.B, stale)
+        inc = combine(c, head_product(layer.A, layer.B),
+                      None if stale is None else head_product(*stale))
         eff = effective_weight(layer, stale)
         assert inc.tobytes() == (c * diff).tobytes()
         assert eff.tobytes() == want.tobytes()
@@ -869,7 +870,7 @@ def _lte_by_hand(cfg):
     losses, records, weights, mses = [], [], [weights_from_factors()], []
     for step in range(1, cfg.total_steps + 1):
         losses.append([local_step(w, net, batch) for w, batch in zip(workers, next(draws))])
-        if step % cfg.merge_period == 0:
+        if step % cfg.policy.period == 0:
             records.append(merge(net, workers, cfg.policy, merge_id=len(records) + 1, step=step,
                                  init=cfg.init, rng=merge_rng))
         weights.append(weights_from_factors())
@@ -897,7 +898,7 @@ class TestRunMatchesHandDrivenWorkers:
         for la, lb in zip(res.network.layers, net.layers):
             for arr_a, arr_b in ((la.W, lb.W), (la.A, lb.A), (la.B, lb.B)):
                 assert arr_a.tobytes() == arr_b.tobytes()
-        assert len(res.merges) == len(records) == cfg.total_steps // cfg.merge_period
+        assert len(res.merges) == len(records) == cfg.total_steps // cfg.policy.period
         for got, want in zip(res.merges, records):
             assert (got.merge_id, got.step, got.coefs) == (want.merge_id, want.step, want.coefs)
             for pair_a, pair_b in zip(got.factors + got.stale, want.factors + want.stale):
@@ -986,9 +987,10 @@ class TestRunners:
         lora = run_mhlora(ls_config(mode="lora", n_heads=1, rank=2, alpha=4.0, total_steps=100,
                                     record_params=True, snapshot_interval=1))
         for s_lte, s_lora in zip(lte.snapshots, lora.snapshots):
-            for (a1, b1), (a2, b2) in zip(s_lte.params[0], s_lora.params[0]):
-                assert np.abs(a1 - a2).max() <= 1e-12
-                assert np.abs(b1 - b2).max() <= 1e-12
+            (a1, b1), (a2, b2) = s_lte.params[0], s_lora.params[0]
+            assert a1.shape == (1, 2, 16) and b1.shape == (1, 16, 2)
+            assert np.abs(a1 - a2).max() <= 1e-12
+            assert np.abs(b1 - b2).max() <= 1e-12
             assert np.abs(s_lte.weights[0] - s_lora.weights[0]).max() <= 1e-12
 
     @pytest.mark.parametrize("n_heads,rank,optimizer", [(4, 2, "sgd"), (8, 4, "adamw")])
@@ -1033,7 +1035,7 @@ class TestRunners:
         out = np.zeros((16, 16))  # W = 0, B = 0 so the forward is zero
         u = (out - batch.targets) / 16
         expected_b = -0.1 * (s * (u @ (a0 @ batch.inputs).T))
-        a1, b1 = res.snapshots[-1].params[0][0]
+        a1, b1 = (stack[0] for stack in res.snapshots[-1].params[0])
         np.testing.assert_allclose(b1, expected_b, atol=1e-12)
         np.testing.assert_array_equal(a1, a0)  # dA = c B^T u x^T = 0 at B = 0
 
@@ -1310,7 +1312,10 @@ class TestConfig:
             "optim": {"eta": 0.1},
             "total_steps": 20,
         })
-        assert cfg.n_heads == 2 and cfg.rank == 2 and cfg.merge_period == 5
+        assert cfg.n_heads == 2 and cfg.rank == 2 and cfg.policy.period == 5
+        with pytest.raises(ConfigError, match="^merge_period: unknown config field"):
+            config_from_dict({"mode": "lte", "dataset": {"m": 8, "n": 8, "rank": 8},
+                              "arch": {"dims": [8, 8]}, "merge_period": 5})
 
     def test_from_dict_rejects_unknown_key(self):
         with pytest.raises(ConfigError, match="heads"):
@@ -1323,10 +1328,10 @@ class TestConfig:
             })
 
     @pytest.mark.parametrize("extra,first,second", [
-        ({"T": 5, "merge_period": 10}, "T", "merge_period"),
-        ({"merge_period": 10, "T": 5}, "merge_period", "T"),
+        ({"n_heads": 4, "N": 2}, "n_heads", "N"),
+        ({"rank": 2, "r": 1}, "rank", "r"),
         ({"T": 5, "policy": {"period": 10}}, "policy.period", "T"),
-        ({"policy": {"period": 10}, "merge_period": 5}, "policy.period", "merge_period"),
+        ({"policy": {"period": 10}, "T": 5}, "policy.period", "T"),
         ({"N": 2, "n_heads": 4}, "N", "n_heads"),
         ({"r": 1, "rank": 2}, "r", "rank"),
     ])
@@ -1347,6 +1352,48 @@ class TestConfig:
                 "arch": {"dims": [8, 8]}, "total_steps": 20}
         with pytest.raises(ConfigError, match="^policy:"):
             config_from_dict({**base, **extra})
+
+    @pytest.mark.parametrize("extra,path", [
+        ({"T": 2.5}, "policy.period"),
+        ({"policy": {"reset_B": "no"}}, "policy.reset_B"),
+        ({"seed": 1.5}, "seed"),
+        ({"snapshot_interval": 2.5}, "snapshot_interval"),
+        ({"N": True}, "N"),
+        ({"N": 2.5}, "N"),
+        ({"batch_size": 8.5}, "batch_size"),
+        ({"arch": {"dims": "44"}}, r"arch.dims\[0\]"),
+        ({"total_steps": "10"}, "total_steps"),
+        ({"stop_mse": "1e-3"}, "stop_mse"),
+        ({"arch": "xy"}, "arch"),
+        ({"arch": [["dims", [8, 8]]]}, "arch"),
+        ({"seed": None}, "seed"),
+        ({"dataset": {"m": 8, "n": 8, "rank": 8, "pool": 64.0}}, "dataset.pool"),
+        ({"alpha": True}, "alpha"),
+        ({"optim": {"eta": True}}, "optim.eta"),
+        ({"init": {"kind": "xavier", "gain": True}}, "init.gain"),
+        ({"arch": {"dims": [8, 8], "w_gain": "1"}}, "arch.w_gain"),
+        ({"record_params": 1}, "record_params"),
+        ({"policy": {"reset_B": False, "exact_correction": 1}}, "policy.exact_correction"),
+    ])
+    def test_from_dict_rejects_a_wrongly_typed_field(self, extra, path):
+        # integers are never bools or floats, reals never bools or strings,
+        # flags only bools; the error names the field's path
+        base = {"mode": "lte", "dataset": {"m": 8, "n": 8, "rank": 8},
+                "arch": {"dims": [8, 8]}, "total_steps": 20}
+        with pytest.raises(ConfigError, match=f"^{path}: "):
+            config_from_dict({**base, **extra})
+
+    def test_validate_checks_types_of_replaced_fields(self):
+        # sweep builds its grid cells with dataclasses.replace, then validates
+        cfg = ls_config(mode="lte", dim=8)
+        for field, value, path in [("n_heads", True, "N"), ("rank", 2.0, "r"),
+                                   ("seed", 1.5, "seed"), ("record_params", "yes", "record_params")]:
+            with pytest.raises(ConfigError, match=f"^{path}: must be"):
+                dataclasses.replace(cfg, **{field: value}).validate()
+        with pytest.raises(ConfigError, match="^policy.period: must be an integer"):
+            dataclasses.replace(cfg.policy, period=2.5)
+        dataclasses.replace(cfg, n_heads=np.int64(2), rank=np.int32(2), seed=np.uint64(7),
+                            alpha=np.float32(2), stop_mse=1).validate()
 
     def test_arch_dataset_dims_must_match(self):
         cfg = ls_config()

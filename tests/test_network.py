@@ -145,8 +145,8 @@ class TestForward:
             assert out[j].tobytes() == out_j.tobytes()
             assert losses[j] == loss_j
             for g, g_j in zip(grads, grads_j):
-                assert g.dA[heads][j].tobytes() == g_j.dA[h].tobytes()
-                assert g.dB[heads][j].tobytes() == g_j.dB[h].tobytes()
+                assert g.dA[j].tobytes() == g_j.dA.tobytes()
+                assert g.dB[j].tobytes() == g_j.dB.tobytes()
         err = fd_check(net, Batch(inputs=x, targets=y), Mode.worker(heads), corrections=corr,
                        num_params=40, rng=rng.child("probe"))
         assert err <= 1e-6
@@ -165,17 +165,29 @@ class TestForward:
 
 class TestModeTerms:
     def test_terms_table(self):
-        # terms are (head key, coefficient, A, B); the factors are the layer's
-        # cached head views, so the comparisons below match them by identity
+        # terms are (head key, coefficient, A, B); the factors are views on
+        # the layer's stacks, matched here by the memory they cover
         layer = random_net(RandomSource(30), n_heads=4).layers[0]
         stale = (np.ones_like(layer.A[3]), np.ones_like(layer.B[3]))
         c = layer.s / 4
+
+        def views(terms, *heads):
+            # (head key, coefficient) per term, each factor pair a view of the heads
+            for (_, _, a, b), want in zip(terms, heads):
+                for got, stack in ((a, layer.A), (b, layer.B)):
+                    view = stack[want]
+                    assert (got.ctypes.data, got.shape, got.strides) == (
+                        view.ctypes.data, view.shape, view.strides)
+            return [(h, coef) for h, coef, _, _ in terms]
+
         assert Mode.full().terms(layer, stale) == []
-        assert Mode.single(2).terms(layer, stale) == [(2, layer.s, *layer.factors(2))]
-        assert Mode.multi().terms(layer, stale) == [(h, c, *layer.factors(h)) for h in range(4)]
-        assert Mode.worker(3).terms(layer) == [(3, c, *layer.factors(3))]
+        assert views(Mode.single(2).terms(layer, stale), 2) == [(2, layer.s)]
+        # multi mode: one stacked term of every head
+        assert views(Mode.multi().terms(layer, stale), slice(0, 4)) == [(range(4), c)]
+        assert views(Mode.worker(3).terms(layer), 3) == [(3, c)]
+        assert views(Mode.worker(range(1, 3)).terms(layer), slice(1, 3)) == [(range(1, 3), c)]
         [head, (h, coef, a0, b0)] = Mode.worker(3).terms(layer, stale)
-        assert head == (3, c, *layer.factors(3))
+        assert views([head], 3) == [(3, c)]
         assert (h, coef) == (None, -c) and a0 is stale[0] and b0 is stale[1]
 
     def test_worker_reads_only_its_head(self):
@@ -188,9 +200,9 @@ class TestModeTerms:
                 layer.A[i] = np.nan
         loss, grads = loss_and_grad(net, batch, Mode.worker(1))
         assert np.isfinite(loss)
-        for g in grads:
-            assert list(g.dA) == [1] and list(g.dB) == [1]
-            assert np.isfinite(g.dA[1]).all() and np.isfinite(g.dB[1]).all()
+        for g, layer in zip(grads, net.layers):
+            assert g.dA.shape == layer.A[1].shape and g.dB.shape == layer.B[1].shape
+            assert np.isfinite(g.dA).all() and np.isfinite(g.dB).all()
 
     def test_heads_restricts_materialized_gradients(self):
         # a multi-mode shard stack materializes head j's gradient from shard
@@ -201,14 +213,15 @@ class TestModeTerms:
                       targets=np.stack([b.targets for b in shards]))
         losses, grads = loss_and_grad(net, stack, Mode.multi())
         assert losses.shape == (3,)
-        for g in grads:
-            assert list(g.dA) == [range(3)] and list(g.dB) == [range(3)]
+        for g, layer in zip(grads, net.layers):
+            assert g.dA.shape == layer.A.shape and g.dB.shape == layer.B.shape
         for j, shard in enumerate(shards):
+            # a 2-D batch gives every head its gradient, stacked like the heads
             loss_j, grads_j = loss_and_grad(net, shard, Mode.multi())
             assert losses[j].tobytes() == np.float64(loss_j).tobytes()
             for g, g_j in zip(grads, grads_j):
-                assert g.dA[range(3)][j].tobytes() == g_j.dA[j].tobytes()
-                assert g.dB[range(3)][j].tobytes() == g_j.dB[j].tobytes()
+                assert g.dA[j].tobytes() == g_j.dA[j].tobytes()
+                assert g.dB[j].tobytes() == g_j.dB[j].tobytes()
         for wrong in (2, 4):
             bad = Batch(inputs=stack.inputs[:1].repeat(wrong, axis=0),
                         targets=stack.targets[:1].repeat(wrong, axis=0))
@@ -400,13 +413,8 @@ class TestConcatenatedMulti:
         got, grads = loss_and_grad(net, Batch(inputs=x, targets=y), Mode.multi())
         np.testing.assert_allclose(got, loss, rtol=1e-12, atol=1e-12)
         for li, g in enumerate(grads):
-            if case["sharded"]:
-                a_got, b_got = g.dA[range(k)], g.dB[range(k)]
-            else:
-                a_got = np.stack([g.dA[h] for h in range(k)])
-                b_got = np.stack([g.dB[h] for h in range(k)])
-            np.testing.assert_allclose(a_got, dA[li], rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(b_got, dB[li], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(g.dA, dA[li], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(g.dB, dB[li], rtol=1e-12, atol=1e-12)
 
 
 class TestFdCheck:
