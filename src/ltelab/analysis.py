@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .layers import LoraLinear
-from .network import Batch
+from .network import Batch, _concat
 from .numerics import Matrix, as_matrix, frobenius, singular_values, svd
 
 # Sign conventions for the first-order part of the effective-update formula.
@@ -124,14 +124,12 @@ def head_alignment(heads: LoraLinear | tuple[Matrix, Matrix], rank_tol: float = 
         raise ValueError(f"head_alignment needs at least 2 heads, got {len(A)}")
     A = as_matrix(A, "head A stack", stacked=True)
     B = as_matrix(B, "head B stack", stacked=True)
-    n_heads, r, n = A.shape
-    m = B.shape[1]
-    if B.shape != (n_heads, m, r):
+    n_heads, r, _ = A.shape
+    if B.shape[::2] != (n_heads, r):  # B is (N, m, r)
         raise ValueError(f"head stacks do not pair: A is {A.shape}, B is {B.shape}")
-    # (N r x N r) Grams of all factor columns / rows; block (i, j) is
-    # B_i^T B_j resp. A_i A_j^T
-    b_cols = B.transpose(1, 0, 2).reshape(m, n_heads * r)
-    a_rows = A.reshape(n_heads * r, n)
+    # (N r x N r) Grams of all factor columns / rows of the concatenated
+    # heads; block (i, j) is B_i^T B_j resp. A_i A_j^T
+    a_rows, b_cols = _concat(A, B)
     inner = ((b_cols.T @ b_cols) * (a_rows @ a_rows.T)).reshape(n_heads, r, n_heads, r).sum(
         axis=(1, 3)
     )

@@ -41,7 +41,8 @@ def _nanmean(values) -> float:
 def write_manifest(result: RunResult, outdir: str | os.PathLike) -> None:
     path = os.path.join(os.fspath(outdir), "manifest.json")
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(result.manifest, fh, indent=2, sort_keys=True)
+        # a validated config may hold numpy scalars: written as their Python values
+        json.dump(result.manifest, fh, indent=2, sort_keys=True, default=np.generic.item)
         fh.write("\n")
 
 

@@ -82,7 +82,8 @@ def cmd_compare(args) -> int:
 
 
 def _median(values):
-    return statistics.median(values)
+    """The median, or None for runs without population MSE (ReLU gaps)."""
+    return None if None in values else statistics.median(values)
 
 
 def cmd_sweep(args) -> int:
@@ -134,15 +135,17 @@ def cmd_sweep(args) -> int:
         fh.write(",".join(header) + "\n")
         for row in rows:
             steps_txt = "" if row["steps_to_threshold"] == float("inf") else repr(float(row["steps_to_threshold"]))
+            final_txt = "" if row["final_mse"] is None else repr(float(row["final_mse"]))
             fh.write(
-                f"{row['N']},{row['r']},{row['T']},{repr(float(row['final_mse']))},"
+                f"{row['N']},{row['r']},{row['T']},{final_txt},"
                 f"{steps_txt},{repr(float(row['update_eff_rank']))}\n"
             )
     lines = [f"{'N':>4} {'r':>4} {'T':>5} {'final_mse':>12} {'steps@thr':>10} {'upd_rank':>9}"]
     for row in rows:
         steps_txt = "-" if row["steps_to_threshold"] == float("inf") else f"{row['steps_to_threshold']:.0f}"
+        final_txt = "-" if row["final_mse"] is None else f"{row['final_mse']:.4g}"
         lines.append(
-            f"{row['N']:>4} {row['r']:>4} {row['T']:>5} {row['final_mse']:>12.4g} "
+            f"{row['N']:>4} {row['r']:>4} {row['T']:>5} {final_txt:>12} "
             f"{steps_txt:>10} {row['update_eff_rank']:>9.3g}"
         )
     table = "\n".join(lines)

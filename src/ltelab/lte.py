@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numbers
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -225,11 +225,6 @@ class RunConfig:
 
 
 _CONFIG_ALIASES = {"N": "n_heads", "r": "rank", "T": "policy.period"}
-_CONFIG_KEYS = {
-    "mode", "dataset", "arch", "n_heads", "rank", "alpha", "optimizer",
-    "optim", "policy", "batch_size", "total_steps", "snapshot_interval", "seed", "init",
-    "record_params", "stop_mse", "out_dir",
-}
 
 
 def config_from_dict(raw: dict) -> RunConfig:
@@ -238,48 +233,45 @@ def config_from_dict(raw: dict) -> RunConfig:
     Accepts the short axis names N, r, T as aliases (T names the merge
     period and lands in the policy). Unknown keys are rejected so typos
     fail fast instead of silently using defaults, and so is a field named
-    twice: an alias and its long name, or T and policy.period.
+    twice: an alias and its long name, or T and policy.period. A section
+    the dict leaves out takes RunConfig's default.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"config: expected an object, got {type(raw).__name__}")
+    known = {f.name for f in fields(RunConfig)}
     data = {}
     named = {}  # field -> the key that named it
     if isinstance(raw.get("policy"), dict) and "period" in raw["policy"]:
         named["policy.period"] = "policy.period"
     for key, value in raw.items():
         field = _CONFIG_ALIASES.get(key, key)
-        if field not in _CONFIG_KEYS and key not in _CONFIG_ALIASES:
+        if field not in known and key not in _CONFIG_ALIASES:
             raise ConfigError(f"{key}: unknown config field")
         if field in named:
             raise ConfigError(f"{key}: names the same field as {named[field]}; give one of them")
         named[field] = key
         data[field] = value
     period = {"period": data.pop("policy.period")} if "policy.period" in data else {}
+    if period:
+        data.setdefault("policy", {})
     for required in ("mode", "dataset", "arch"):
         if required not in data:
             raise ConfigError(f"{required}: missing required field")
-    try:
-        data["dataset"] = DatasetSpec(**data["dataset"])
-    except TypeError as exc:
-        raise ConfigError(f"dataset: {exc}") from exc
-    try:
-        if not isinstance(data["arch"], dict):
-            raise TypeError(f"expected an object, got {type(data['arch']).__name__}")
-        data["arch"] = ArchSpec(**{**data["arch"], "dims": tuple(data["arch"].get("dims", ()))})
-    except TypeError as exc:
-        raise ConfigError(f"arch: {exc}") from exc
-    try:
-        data["optim"] = OptimConfig(**data.get("optim", {"eta": 0.05}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"optim: {exc}") from exc
-    try:
-        data["policy"] = MergePolicy(**data.get("policy", {}), **period)
-    except TypeError as exc:  # MergePolicy's own ConfigErrors name their policy.* path
-        raise ConfigError(f"policy: {exc}") from exc
-    try:
-        data["init"] = InitScheme(**data.get("init", {"kind": "semi_orthogonal"}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"init: {exc}") from exc
+    for name, cls in {"dataset": DatasetSpec, "arch": ArchSpec, "optim": OptimConfig,
+                      "policy": MergePolicy, "init": InitScheme}.items():
+        if name not in data:
+            continue
+        try:
+            kwargs = data[name]
+            if not isinstance(kwargs, dict):
+                raise TypeError(f"expected an object, got {type(kwargs).__name__}")
+            if name == "arch":
+                kwargs = {**kwargs, "dims": tuple(kwargs.get("dims", ()))}
+            data[name] = cls(**kwargs, **(period if name == "policy" else {}))
+        except ConfigError:  # a section's own check names its full path
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
     try:
         cfg = RunConfig(**data)
     except TypeError as exc:
@@ -328,17 +320,17 @@ class IidStream:
 
 
 class PooledStream:
-    """Fixed-pool streams over k column shards, shard j (the pool columns j,
-    j + k, ...) cycling in order with its own length; a draw stacks all k
+    """Fixed-pool streams over k shards of the sample-major pool xt (samples,
+    n) and its targets yt, shard j (the samples j, j + k, ...) cycling in
+    order with its own length; a draw gathers whole rows and stacks all k
     like IidStream. cursor counts the samples each shard has given."""
 
-    def __init__(self, x: Matrix, y: Matrix, k: int):
-        if x.shape[1] < k:
-            raise ValueError(f"pool of {x.shape[1]} samples leaves a worker of {k} without samples")
-        # sample-major copies, so that a draw gathers whole rows
-        self.xt, self.yt = np.ascontiguousarray(x.T), np.ascontiguousarray(y.T)
+    def __init__(self, xt: Matrix, yt: Matrix, k: int):
+        if len(xt) < k:
+            raise ValueError(f"pool of {len(xt)} samples leaves a worker of {k} without samples")
+        self.xt, self.yt = xt, yt
         self.shards = np.arange(k)[:, None]
-        self.sizes = (x.shape[1] - self.shards + k - 1) // k
+        self.sizes = (len(xt) - self.shards + k - 1) // k
         self.cursor = 0
 
     def next(self, batch_size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -363,7 +355,6 @@ class WorkerState:
     corrections: list[tuple[Matrix, Matrix]]
     use_correction: bool
     steps_since_merge: int = 0
-    total_steps: int = 0
 
 
 @dataclass
@@ -447,7 +438,6 @@ def local_step(worker: WorkerState, net: Network, batch: Batch) -> float:
     corr = worker.corrections if worker.use_correction else None
     loss = _train_heads(net, worker.opt, batch, Mode.worker(worker.head_index), corr)
     worker.steps_since_merge += 1
-    worker.total_steps += 1
     return float(loss)
 
 
@@ -520,8 +510,9 @@ def merge(
     merge `run` makes, on fresh stacks of the workers' stale corrections and
     their products in exact mode. Then refresh those corrections, clear
     the workers' optimizers (reset_opt) and zero their step counters. Equal
-    step counts, full head coverage and, in exact mode, every correction's
-    shapes are checked before anything is written.
+    step counts, full head coverage, use_correction as the policy's
+    exact_correction and, in exact mode, every correction's shapes are
+    checked before anything is written.
     """
     counts = {w.steps_since_merge for w in workers}
     if len(counts) != 1:
@@ -531,6 +522,10 @@ def merge(
         raise ValueError("workers must be ordered by head index and cover every head")
     if policy.reset_A and (init is None or rng is None):
         raise ValueError("reset_A needs an init scheme and a random source")
+    for w in workers:
+        if w.use_correction != policy.exact_correction:  # it would train neither scheme
+            raise ValueError(f"worker {w.head_index}: use_correction={w.use_correction} disagrees "
+                             f"with policy.exact_correction={policy.exact_correction}")
     if policy.exact_correction:
         for w in workers:
             if len(w.corrections) != len(net.layers):
@@ -580,12 +575,11 @@ def _make_stream(cfg: RunConfig, task: LeastSquaresTask, root: RandomSource, k: 
         return IidStream(task, [root.child("worker", i) for i in range(k)])
     x = root.child("pool").standard_normal((task.n, cfg.dataset.pool))
     y = task.W_star @ x
-    # the stream keeps sample-major copies; making x's and dropping x before
-    # y's keeps at most three of the four pool arrays live at once, and
-    # PooledStream finds the copies' transposes already sample-major
+    # the stream takes sample-major copies; making x's and dropping x before
+    # y's keeps at most three of the four pool arrays live at once
     xt = np.ascontiguousarray(x.T)
     del x
-    return PooledStream(xt.T, np.ascontiguousarray(y.T).T, k)
+    return PooledStream(xt, np.ascontiguousarray(y.T), k)
 
 
 def _effective_weights(net: Network, stale_prods: list[Matrix] | None = None,

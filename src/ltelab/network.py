@@ -7,22 +7,23 @@ by b. Every layer computes
   W x + sum over active terms of  c * B (A x)
 
 and a training regime is nothing more than its choice of terms
-(head key h, coefficient c, A, B), at most one of them trained:
+(coefficient c, A, B), at most one of them trained:
 
   full    -- no terms (standard training; W receives gradients)
   single  -- head h at coefficient s (plain single-adapter training)
-  multi   -- the one stacked term (range(N), s/N, A, B) of every head
+  multi   -- the one stacked term (s/N, A, B) of every head
              (joint multi-head training); given an (N, n, b) stack of N
              shards, every slice runs the full multi-head view, the loss is
              the vector of N per-shard losses and head j's gradient comes
              from slice j only
   worker  -- head h at coefficient s/N, plus optionally the untrained term
-             (None, -s/N, A°, B°) of the head's factors at the last merge
+             (-s/N, A°, B°) of the head's factors at the last merge
              (one worker's local view); given a range of k heads, k workers'
              views at once: every array carries a leading axis of length k,
              and every product is one batched matmul
 
-`Mode.terms` is the only place a coefficient is chosen. The head
+`Mode.terms` chooses the coefficient of every term the passes run; the dense
+weights (`effective_weight`, lte's merge and eval) take the same s/N. The head
 gradients are those of the trained term, arrays shaped like its factors,
 and `trained_pairs` pairs every trained array with its gradient for the
 optimizer and the finite-difference probe. The forward pass and the input
@@ -49,14 +50,11 @@ ACTIVATIONS = ("identity", "relu")
 LOSSES = ("mse", "softmax_ce")
 MODE_KINDS = ("full", "single", "multi", "worker")
 
-# (head key h, coefficient c, A, B): the layer adds c * B A to its base
-# weight, summed over the heads of a stack in multi mode. h is a head index,
-# a range of k heads (A and B then (k, ...) stacks), or None for a stale
-# correction, which trains nothing.
-Term = tuple[int | range | None, float, Matrix, Matrix]
-# (c, A, B): one GEMM pair c * B (A x) of the forward pass and its transpose
-# c * Aᵀ (Bᵀ u) in the input gradient
-Gemm = tuple[float, Matrix, Matrix]
+# (coefficient c, A, B): the layer adds c * B A to its base weight, summed
+# over the heads of a stack in multi mode; A and B are one head's factors or
+# (k, ...) stacks of k heads. As a GEMM pair it is c * B (A x) in the forward
+# pass and its transpose c * Aᵀ (Bᵀ u) in the input gradient.
+Term = tuple[float, Matrix, Matrix]
 
 
 @dataclass(frozen=True)
@@ -104,14 +102,14 @@ class Mode:
               ) -> list[Term]:
         """The layer's active terms, factors resolved: none in full mode,
         else the trained term first. Only worker mode carries a correction,
-        the pair (A°, B°), as the term (None, -c, A°, B°) (`forward` rejects
+        the pair (A°, B°), as the term (-c, A°, B°) (`forward` rejects
         one in any other mode)."""
         if self.kind == "full":
             return []
         c = layer.s if self.kind == "single" else layer.s / layer.num_heads
         head = range(layer.num_heads) if self.kind == "multi" else self.head
-        stale = [] if self.kind != "worker" or correction is None else [(None, -c, *correction)]
-        return [(head, c, *layer.factors(head))] + stale
+        stale = [] if self.kind != "worker" or correction is None else [(-c, *correction)]
+        return [(c, *layer.factors(head))] + stale
 
 
 @dataclass
@@ -205,14 +203,14 @@ def _concat(A: Matrix, B: Matrix) -> tuple[Matrix, Matrix]:
     return A.reshape(-1, A.shape[-1]), B.transpose(1, 0, 2).reshape(B.shape[1], -1)
 
 
-def _gemms(mode: Mode, terms: list[Term]) -> list[Gemm]:
-    """The GEMM pairs the forward and the input gradient run, one per term;
-    multi mode's stacked term sums its heads, so its pair is over their
-    factors concatenated (`_concat`)."""
-    return [(c, *_concat(A, B)) if mode.kind == "multi" else (c, A, B) for _, c, A, B in terms]
+def _gemms(mode: Mode, terms: list[Term]) -> list[Term]:
+    """The GEMM pairs the forward and the input gradient run: the terms
+    themselves, except that multi mode's stacked term sums its heads, so
+    its pair is over their factors concatenated (`_concat`)."""
+    return [(c, *_concat(A, B)) for c, A, B in terms] if mode.kind == "multi" else terms
 
 
-def _layer_forward(layer: LoraLinear, x: Matrix, gemms: list[Gemm]) -> Matrix:
+def _layer_forward(layer: LoraLinear, x: Matrix, gemms: list[Term]) -> Matrix:
     out = layer.W @ x
     for c, A, B in gemms:
         t = B @ (A @ x)
@@ -357,7 +355,7 @@ def loss_and_grad(
             u = u * (z > 0.0)
         g = grads[i]
         if terms:  # the trained term; a stale correction after it trains nothing
-            _, c, A, B = terms[0]
+            c, A, B = terms[0]
             g.dB = c * (u @ _t(A @ x))
             g.dA = c * ((_t(B) @ u) @ _t(x))
         else:
@@ -367,7 +365,7 @@ def loss_and_grad(
     return loss_val, grads
 
 
-def _input_grad(layer: LoraLinear, gemms: list[Gemm], u: Matrix) -> Matrix:
+def _input_grad(layer: LoraLinear, gemms: list[Term], u: Matrix) -> Matrix:
     dx = layer.W.T @ u
     for c, A, B in gemms:
         t = _t(A) @ (_t(B) @ u)
@@ -386,7 +384,7 @@ def trained_pairs(net: Network, mode: Mode, grads: list[LayerGradients]
         if mode.kind == "full":
             pairs.append((layer.W, g.dW))
         else:
-            _, _, A, B = mode.terms(layer)[0]
+            _, A, B = mode.terms(layer)[0]
             pairs += [(A, g.dA), (B, g.dB)]
     return pairs
 

@@ -2,11 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import ltelab
+from ltelab.artifacts import write_run_artifacts
 from ltelab.cli import main
+from ltelab.lte import config_from_dict, run
 
 
 def write_json(path, data):
@@ -120,6 +124,22 @@ class TestTrain:
         assert "workers" in capsys.readouterr().err
 
 
+class TestManifest:
+    def test_numpy_scalars_write_as_python_values(self, tmp_path):
+        # validate() accepts numpy scalars; the artifacts they write are
+        # those of the same config with built-in values
+        cfg = config_from_dict(lte_config(steps=3))
+        numpy_cfg = replace(cfg, seed=np.int64(3), n_heads=np.int64(2), alpha=np.float32(2),
+                            record_params=np.bool_(False))
+        builtin_cfg = replace(cfg, seed=3, n_heads=2, alpha=2.0, record_params=False)
+        trees = []
+        for name, c in (("numpy", numpy_cfg), ("builtin", builtin_cfg)):
+            out = tmp_path / name
+            write_run_artifacts(run(c), out)
+            trees.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+        assert trees[0] == trees[1]
+
+
 class TestCompare:
     def test_self_comparison_zero(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", lte_config(T=1, steps=20))
@@ -183,6 +203,22 @@ class TestSweep:
         assert len(rows) == 9  # header + 2*2*2 cells
         table = capsys.readouterr().out
         assert "final_mse" in table
+
+    @pytest.mark.parametrize("seeds", [[0, 1], [0]])
+    def test_grid_without_population_mse(self, tmp_path, seeds):
+        # ReLU gaps define no population MSE: its cells stay empty, as
+        # steps_to_threshold's do when no run reaches the threshold
+        base = {"mode": "mhlora", "dataset": {"m": 4, "n": 4, "rank": 4},
+                "arch": {"dims": [4, 6, 4], "activation": "relu"},
+                "N": 2, "r": 2, "batch_size": 8, "total_steps": 5}
+        spec = write_json(tmp_path / "grid.json",
+                          {"base": base, "grid": {"N": [1, 2]}, "seeds": seeds})
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--grid", spec, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert [row[3:5] for row in rows] == [["", ""]] * 2
+        table = (out / "sweep.txt").read_text().splitlines()
+        assert [line.split()[3:5] for line in table[1:]] == [["-", "-"]] * 2
 
     def test_empty_grid_rejected(self, tmp_path, capsys):
         spec = write_json(tmp_path / "grid.json", {

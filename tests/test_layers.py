@@ -170,6 +170,19 @@ class TestEffectiveWeight:
         np.testing.assert_allclose(effective_weight(layer) @ x, layer_out(layer, x, Mode.multi()), atol=1e-12)
 
 
+@st.composite
+def split_cases(draw):
+    """(m, d, n, k, seed): an (m x d) B and a (d x n) A, d >= 2, cut at
+    1 <= k < d."""
+    m, d, n = draw(st.integers(1, 8)), draw(st.integers(2, 8)), draw(st.integers(1, 8))
+    return m, d, n, draw(st.integers(1, d - 1)), draw(st.integers(0, 2**32 - 1))
+
+
+def split_factors(m, d, n, seed):
+    rng = RandomSource(seed)
+    return rng.child("b").standard_normal((m, d)), rng.child("a").standard_normal((d, n))
+
+
 class TestSplitProduct:
     def test_exact_reconstruction_small(self):
         rng = RandomSource(19)
@@ -178,15 +191,20 @@ class TestSplitProduct:
         (b1, a1), (b2, a2) = split_product(b, a, 1)
         assert np.abs(b1 @ a1 + b2 @ a2 - b @ a).max() <= 1e-15
 
-    def test_split_ranks(self):
-        rng = RandomSource(20)
-        b = rng.child("b").standard_normal((6, 4))
-        a = rng.child("a").standard_normal((4, 7))
-        (b1, a1), (b2, a2) = split_product(b, a, 1)
-        s1 = np.linalg.svd(b1 @ a1, compute_uv=False)
-        s2 = np.linalg.svd(b2 @ a2, compute_uv=False)
-        assert np.sum(s1 > 1e-10 * s1[0]) <= 1
-        assert np.sum(s2 > 1e-10 * s2[0]) <= 3
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(split_cases())
+    def test_split_ranks(self, case):
+        # the pieces are copies of B's first k columns and A's first k rows,
+        # and of the rest, so their products have rank <= k and <= d - k
+        m, d, n, k, seed = case
+        b, a = split_factors(m, d, n, seed)
+        (b1, a1), (b2, a2) = split_product(b, a, k)
+        for got, want in ((b1, b[:, :k]), (a1, a[:k]), (b2, b[:, k:]), (a2, a[k:])):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert not np.shares_memory(got, b) and not np.shares_memory(got, a)
+        for prod, cap in ((b1 @ a1, k), (b2 @ a2, d - k)):
+            sv = np.linalg.svd(prod, compute_uv=False)
+            assert np.sum(sv > 1e-10 * sv[0]) <= cap
 
     def test_zero_tail_column(self):
         b = np.array([[1.0, 0.0], [2.0, 0.0]])
@@ -194,21 +212,22 @@ class TestSplitProduct:
         (_, _), (b2, a2) = split_product(b, a, 1)
         np.testing.assert_array_equal(b2 @ a2, np.zeros((2, 2)))
 
-    def test_reconstruction_random_shapes(self):
-        rng = RandomSource(21)
-        for i in range(10):
-            d = int(rng.child("d", i).integers(2, 9))
-            k = int(rng.child("k", i).integers(1, d))
-            b = rng.child("b", i).standard_normal((5, d))
-            a = rng.child("a", i).standard_normal((d, 6))
-            (b1, a1), (b2, a2) = split_product(b, a, k)
-            np.testing.assert_allclose(b1 @ a1 + b2 @ a2, b @ a, atol=1e-14)
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(split_cases())
+    def test_reconstruction_random_shapes(self, case):
+        # B1 A1 + B2 A2 is B A up to the rounding of a d-term sum
+        m, d, n, k, seed = case
+        b, a = split_factors(m, d, n, seed)
+        (b1, a1), (b2, a2) = split_product(b, a, k)
+        np.testing.assert_allclose(b1 @ a1 + b2 @ a2, b @ a, rtol=0,
+                                   atol=d * 1e-15 * (np.abs(b) @ np.abs(a)).max())
 
-    def test_k_out_of_range(self):
-        b, a = np.ones((2, 2)), np.ones((2, 2))
-        for k in (0, 2):
-            with pytest.raises(ValueError):
-                split_product(b, a, k)
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(st.integers(1, 6), st.integers(-3, 9))
+    def test_k_out_of_range(self, d, k):
+        assume(not 1 <= k < d)
+        with pytest.raises(ValueError, match="k must be in"):
+            split_product(np.ones((2, d)), np.ones((d, 2)), k)
 
 
 class TestBackward:

@@ -96,7 +96,6 @@ class TestLocalStep:
         net, task, workers, rng = tiny_setup()
         local_step(workers[0], net, sample_batch(task, 8, rng.child("b")))
         assert workers[0].steps_since_merge == 1
-        assert workers[0].total_steps == 1
 
     def test_worker_execution_order_is_irrelevant(self):
         # private streams plus exclusive head ownership make the round a
@@ -305,17 +304,39 @@ class TestMerge:
         merge(net, workers, MergePolicy(period=1))
         np.testing.assert_array_equal(layer.W, [[2.0]])
 
-    def test_function_preservation(self):
-        rng = RandomSource(1)
-        for trial in range(10):
-            net, _, workers, _ = tiny_setup(n_heads=3, seed=trial)
-            for hi, B in enumerate(net.layers[0].B):
-                B[...] = rng.child("b", trial, hi).standard_normal(B.shape)
-            x = rng.child("x", trial).standard_normal((4, 6))
-            before, _ = forward(net, x, Mode.multi())
-            merge(net, workers, MergePolicy(period=1, reset_B=True))
-            after, _ = forward(net, x, Mode.full())
-            assert np.abs(before - after).max() <= 1e-12
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.integers(1, 7), st.integers(1, 7), st.integers(1, 4), st.data(),
+           st.sampled_from(["reset_B", "reset_A"]), st.integers(0, 2**32 - 1))
+    def test_function_preservation(self, m, n, n_heads, data, policy, seed):
+        # a resetting merge moves the heads into W: the multi-head function
+        # is W's afterwards, whatever reset_A draws for the zeroed heads
+        r = data.draw(st.integers(1, min(m, n)), label="r")
+        net, _, workers, rng = tiny_setup(n_heads=n_heads, m=m, n=n, r=r, seed=seed)
+        layer = net.layers[0]
+        layer.B[...] = rng.child("b").standard_normal(layer.B.shape)
+        x = rng.child("x").standard_normal((n, 6))
+        before, _ = forward(net, x, Mode.multi())
+        merge(net, workers, MERGE_POLICIES[policy], init=InitScheme("kaiming"), rng=rng.child("merge"))
+        for mode in (Mode.full(), Mode.multi()):
+            after, _ = forward(net, x, mode)
+            np.testing.assert_allclose(after, before, rtol=0,
+                                       atol=1e-13 * (1.0 + np.abs(before).max()))
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_rejects_a_worker_of_the_other_scheme(self, exact):
+        # workers that keep corrections under an averaged merge, or none
+        # under an exact one, would train neither scheme: the merge names
+        # the worker and writes nothing
+        net, _, workers, rng = tiny_setup(exact=not exact)
+        layer = net.layers[0]
+        layer.B[...] = rng.child("b").standard_normal(layer.B.shape)
+        for w in workers:
+            w.corrections = [tuple(f.copy() for f in layer.factors(w.head_index))]
+        before = [f.copy() for f in (layer.W, layer.A, layer.B)]
+        with pytest.raises(ValueError, match="^worker 0: use_correction"):
+            merge(net, workers, exact_policy() if exact else MergePolicy(period=1))
+        for got, want in zip((layer.W, layer.A, layer.B), before):
+            assert got.tobytes() == want.tobytes()
 
     def test_exact_mode_updates_corrections(self):
         net, _, workers, rng = tiny_setup(n_heads=2, exact=True)
@@ -1245,7 +1266,7 @@ class TestPooledStream:
     def test_shards_disjoint_and_cycling(self):
         x = np.arange(12.0).reshape(1, 12)
         y = 2.0 * x
-        stream = PooledStream(x, y, 2)
+        stream = PooledStream(x.T, y.T, 2)
         xs, ys = stream.next(6)
         assert xs.shape == ys.shape == (2, 1, 6)
         np.testing.assert_array_equal(xs[0].ravel(), x[0, 0::2])
@@ -1255,7 +1276,7 @@ class TestPooledStream:
 
     def test_pool_must_cover_every_shard(self):
         with pytest.raises(ValueError, match="without samples"):
-            PooledStream(np.ones((1, 2)), np.ones((1, 2)), 3)
+            PooledStream(np.ones((1, 2)).T, np.ones((1, 2)).T, 3)
 
 
 @st.composite

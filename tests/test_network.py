@@ -165,30 +165,30 @@ class TestForward:
 
 class TestModeTerms:
     def test_terms_table(self):
-        # terms are (head key, coefficient, A, B); the factors are views on
-        # the layer's stacks, matched here by the memory they cover
+        # terms are (coefficient, A, B); the factors are views on the
+        # layer's stacks, matched here by the memory they cover
         layer = random_net(RandomSource(30), n_heads=4).layers[0]
         stale = (np.ones_like(layer.A[3]), np.ones_like(layer.B[3]))
         c = layer.s / 4
 
         def views(terms, *heads):
-            # (head key, coefficient) per term, each factor pair a view of the heads
-            for (_, _, a, b), want in zip(terms, heads):
+            # the coefficient per term, each factor pair a view of the heads
+            for (_, a, b), want in zip(terms, heads):
                 for got, stack in ((a, layer.A), (b, layer.B)):
                     view = stack[want]
                     assert (got.ctypes.data, got.shape, got.strides) == (
                         view.ctypes.data, view.shape, view.strides)
-            return [(h, coef) for h, coef, _, _ in terms]
+            return [coef for coef, _, _ in terms]
 
         assert Mode.full().terms(layer, stale) == []
-        assert views(Mode.single(2).terms(layer, stale), 2) == [(2, layer.s)]
+        assert views(Mode.single(2).terms(layer, stale), 2) == [layer.s]
         # multi mode: one stacked term of every head
-        assert views(Mode.multi().terms(layer, stale), slice(0, 4)) == [(range(4), c)]
-        assert views(Mode.worker(3).terms(layer), 3) == [(3, c)]
-        assert views(Mode.worker(range(1, 3)).terms(layer), slice(1, 3)) == [(range(1, 3), c)]
-        [head, (h, coef, a0, b0)] = Mode.worker(3).terms(layer, stale)
-        assert views([head], 3) == [(3, c)]
-        assert (h, coef) == (None, -c) and a0 is stale[0] and b0 is stale[1]
+        assert views(Mode.multi().terms(layer, stale), slice(0, 4)) == [c]
+        assert views(Mode.worker(3).terms(layer), 3) == [c]
+        assert views(Mode.worker(range(1, 3)).terms(layer), slice(1, 3)) == [c]
+        [head, (coef, a0, b0)] = Mode.worker(3).terms(layer, stale)
+        assert views([head], 3) == [c]
+        assert coef == -c and a0 is stale[0] and b0 is stale[1]
 
     def test_worker_reads_only_its_head(self):
         # heads outside the mode's terms are never touched: poisoning them
