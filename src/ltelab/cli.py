@@ -123,31 +123,28 @@ def cmd_sweep(args) -> int:
                     steps_to.append(float("inf") if hit is None else hit)
                     last_rank = [v for v in result.snapshots[-1].update_rank if v == v]
                     ranks.append(sum(last_rank) / len(last_rank) if last_rank else float("nan"))
-                rows.append({
-                    "N": n, "r": r, "T": t,
-                    "final_mse": _median(finals),
-                    "steps_to_threshold": _median(steps_to),
-                    "update_eff_rank": _median(ranks),
-                })
+                steps = _median(steps_to)
+                rows.append((n, r, t, _median(finals), None if steps == float("inf") else steps,
+                             _median(ranks)))
 
-    header = ("N", "r", "T", "final_mse", "steps_to_threshold", "update_eff_rank")
+    def real(v) -> str:
+        return repr(float(v))
+
+    # per column: name, CSV cell, text title, width and format of a present
+    # value; a missing cell (None) is empty in the CSV and "-" in the text
+    columns = (("N", str, "N", 4, ""), ("r", str, "r", 4, ""), ("T", str, "T", 5, ""),
+               ("final_mse", real, "final_mse", 12, ".4g"),
+               ("steps_to_threshold", real, "steps@thr", 10, ".0f"),
+               ("update_eff_rank", real, "upd_rank", 9, ".3g"))
     with open(os.path.join(outdir, "sweep.csv"), "w", encoding="ascii") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(name for name, *_ in columns) + "\n")
         for row in rows:
-            steps_txt = "" if row["steps_to_threshold"] == float("inf") else repr(float(row["steps_to_threshold"]))
-            final_txt = "" if row["final_mse"] is None else repr(float(row["final_mse"]))
-            fh.write(
-                f"{row['N']},{row['r']},{row['T']},{final_txt},"
-                f"{steps_txt},{repr(float(row['update_eff_rank']))}\n"
-            )
-    lines = [f"{'N':>4} {'r':>4} {'T':>5} {'final_mse':>12} {'steps@thr':>10} {'upd_rank':>9}"]
+            fh.write(",".join("" if v is None else cell(v)
+                              for (_, cell, *_), v in zip(columns, row)) + "\n")
+    lines = [" ".join(f"{title:>{width}}" for _, _, title, width, _ in columns)]
     for row in rows:
-        steps_txt = "-" if row["steps_to_threshold"] == float("inf") else f"{row['steps_to_threshold']:.0f}"
-        final_txt = "-" if row["final_mse"] is None else f"{row['final_mse']:.4g}"
-        lines.append(
-            f"{row['N']:>4} {row['r']:>4} {row['T']:>5} {final_txt:>12} "
-            f"{steps_txt:>10} {row['update_eff_rank']:>9.3g}"
-        )
+        lines.append(" ".join(f"{'-' if v is None else format(v, spec):>{width}}"
+                              for (*_, width, spec), v in zip(columns, row)))
     table = "\n".join(lines)
     print(table)
     with open(os.path.join(outdir, "sweep.txt"), "w", encoding="ascii") as fh:

@@ -22,12 +22,14 @@ stream or pool shard. `_train_heads` is one `loss_and_grad` call and one
 optimizer call over every trained array of every layer, gathered head-major
 into one (k, P) array, so the moments are one (k, P) state whose row j is
 head j's. A merge (`_fold`) takes one GEMM per layer, the merged heads'
-product P, adds `combine`'s increment of it to W and keeps copies of the
+product P, sets W to `effective_weight` given P and keeps copies of the
 head stacks in its record, not a dense array. In an exact run those copies
 are the next interval's stale factors and P its stale product P°, which
-`run` keeps, so its eval takes one head product per layer per step (none
-on a merge step, where the heads are the merged copies). `local_step` and
-`merge` drive hand-built `WorkerState`s through the same update and fold.
+`run` keeps, so its eval, like its snapshots, maps `effective_weight` over
+the layers and takes one head product per layer per step (none on a merge
+step, where the heads are the merged copies). Without a correction every
+layer's stale stacks and product are None. `local_step` and `merge` drive
+hand-built `WorkerState`s through the same update and fold.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .analysis import AlignmentReport, effective_rank, head_alignment
 from .data import LeastSquaresTask, gen_least_squares
 from .layers import LoraHead, LoraLinear
 from .network import (ACTIVATIONS, LOSSES, Batch, Mode, Network, combine, correction_mismatch,
-                      head_product, loss_and_grad, trained_pairs)
+                      effective_weight, head_product, loss_and_grad, trained_pairs)
 from .numerics import INIT_KINDS, InitScheme, Matrix, RandomSource, init_matrix
 from .optim import AdamState, OptimConfig, adamw_step, sgd_step
 
@@ -79,7 +81,9 @@ class MergePolicy:
     merge function-preserving; reset_A re-initializes A (off by default, it
     wastes re-learning); reset_opt clears worker optimizer state (also off by
     default). exact_correction switches to the corrected no-reset scheme and
-    is incompatible with parameter resets, which it exists to avoid.
+    is incompatible with parameter resets, which it exists to avoid. Without
+    it reset_B is required: a merge that adds the heads to W and keeps them
+    would count them twice.
     """
 
     period: int = 1
@@ -99,6 +103,9 @@ class MergePolicy:
                 "policy.exact_correction: incompatible with reset_B/reset_A "
                 "(the corrected scheme reuses the same parameters)"
             )
+        if not (self.reset_B or self.exact_correction):
+            raise ConfigError("policy.reset_B: false needs exact_correction, or a merge "
+                              "keeps heads it has added to W and counts them twice")
 
 
 @dataclass(frozen=True)
@@ -184,6 +191,9 @@ class RunConfig:
             raise ConfigError(f"arch.loss: must be one of {LOSSES}")
         if arch.w_init != "zeros" and arch.w_init not in INIT_KINDS:
             raise ConfigError(f"arch.w_init: must be 'zeros' or one of {INIT_KINDS}")
+        if arch.w_init == "zeros" and len(arch.dims) > 2:
+            raise ConfigError(f"arch.w_init: a chain of {len(arch.dims) - 1} layers from "
+                              f"'zeros' has only zero gradients; use one of {INIT_KINDS}")
         if self.n_heads < 1:
             raise ConfigError(f"N: must be >= 1, got {self.n_heads}")
         if self.mode == "lora" and self.n_heads != 1:
@@ -468,25 +478,25 @@ def _train_heads(net: Network, opt: KeyedOptimizer, batch: Batch, mode: Mode, co
 
 
 def _fold(net: Network, policy: MergePolicy, merge_id: int, step: int,
-          init: InitScheme | None, rng: RandomSource | None, stale: list | None,
-          stale_prods: list[Matrix] | None) -> tuple[UpdateRecord, list[Matrix]]:
+          init: InitScheme | None, rng: RandomSource | None, stale: list,
+          stale_prods: list) -> tuple[UpdateRecord, list[Matrix]]:
     """Fold every head into the base weights, then apply the resets.
 
-    Per layer one GEMM, the merged heads' product P; W becomes `combine` of
-    P, in exact mode the stale product P° (`stale_prods`) of the stale
-    stacks (`stale`, per layer (A°, B°)), and W: bitwise the effective
-    weight from before the merge. Heads are summed in index order, so the
-    result is independent of worker scheduling. Returns the record (copies
-    of the heads from before the resets, and `stale` itself) and the
-    products P, an exact run's next stale products.
+    Per layer one GEMM, the merged heads' product P; W becomes
+    `effective_weight` given P and the layer's stale product P°
+    (`stale_prods`, of the stale stacks `stale`, per layer (A°, B°), both
+    None without a correction): the effective weight from before the merge,
+    bitwise. Heads are summed in index order, so the result is independent
+    of worker scheduling. Returns the record (copies of the heads from
+    before the resets, and a copy of the list `stale`) and the products P,
+    an exact run's next stale products.
     """
     coefs, factors, prods = [], [], []
-    for li, layer in enumerate(net.layers):
+    for li, (layer, stale_prod) in enumerate(zip(net.layers, stale_prods)):
         merged = (layer.A.copy(), layer.B.copy())
-        c = layer.s / layer.num_heads
         prods.append(head_product(*merged))
-        layer.W = combine(c, prods[-1], stale_prods[li] if stale_prods else None, layer.W)
-        coefs.append(c)
+        layer.W = effective_weight(layer, stale_prod, prods[-1])
+        coefs.append(layer.s / layer.num_heads)
         factors.append(merged)
         if policy.reset_B:
             layer.B[...] = 0.0
@@ -494,7 +504,7 @@ def _fold(net: Network, policy: MergePolicy, merge_id: int, step: int,
             for h in range(layer.num_heads):
                 layer.A[h] = init_matrix(layer.rank, layer.n, init, rng.child(merge_id, li, h))
     return UpdateRecord(merge_id=merge_id, step=step, coefs=coefs, factors=factors,
-                        stale=list(stale) if stale else [None] * len(net.layers)), prods
+                        stale=list(stale)), prods
 
 
 def merge(
@@ -535,7 +545,7 @@ def merge(
                 problem = correction_mismatch(layer, w.corrections[li], w.head_index)
                 if problem:
                     raise ValueError(f"worker {w.head_index}, layer {li}: {problem}")
-    stale = stale_prods = None
+    stale = stale_prods = [None] * len(net.layers)
     if policy.exact_correction:
         stale = [tuple(np.stack(f) for f in zip(*(w.corrections[li] for w in workers)))
                  for li in range(len(net.layers))]
@@ -582,19 +592,6 @@ def _make_stream(cfg: RunConfig, task: LeastSquaresTask, root: RandomSource, k: 
     return PooledStream(xt, np.ascontiguousarray(y.T), k)
 
 
-def _effective_weights(net: Network, stale_prods: list[Matrix] | None = None,
-                       prods: list[Matrix] | None = None) -> list[Matrix]:
-    """Per-layer effective weight W + c (P - P°), fresh arrays: P the heads'
-    `head_product` or `prods`, which the heads must equal; P° the stale
-    products (None: no correction). Without heads, copies of W."""
-    if not net.layers[0].num_heads:
-        return [layer.W.copy() for layer in net.layers]
-    return [combine(layer.s / layer.num_heads,
-                    head_product(layer.A, layer.B) if prods is None else prods[li],
-                    None if stale_prods is None else stale_prods[li], layer.W)
-            for li, layer in enumerate(net.layers)]
-
-
 def _population_mse(weights: list[Matrix], task: LeastSquaresTask, overwrite: bool) -> float:
     """E over x ~ N(0, I) of the batch-mean half squared error of the chain
     of `weights`, worked in place in the chain product of several layers (a
@@ -636,22 +633,23 @@ def run(cfg: RunConfig) -> RunResult:
     slice 0 for full. lte folds its heads into W every merge period
     (`_fold`, with reset_opt clearing the optimizer). In an exact run the
     stale stacks and each layer's stale product P° start at zero and are
-    then the last record's factors and the last merge's product P.
+    then the last record's factors and the last merge's product P; in any
+    other run they are None for every layer.
 
     Snapshots come at step 0, every snapshot_interval steps and at the last
     step; the default interval is the merge period, or the whole run in
     modes that never merge. Population MSE is evaluated after every step
     where it is defined, and stop_mse ends the run at the first step at or
     under it. Each step runs in this order: the update, the merge, one pass
-    over the layers' effective weights (when a snapshot is due or MSE is
-    evaluated), the snapshot, the evaluation; snapshot and evaluation read
-    that one pass, which takes one head product per layer, none on an exact
-    merge step, where it reuses the merge's P (P - P° is exactly zero). On
-    a step without a snapshot the evaluation overwrites the pass, so a
-    snapshot after a stop_mse break takes its weights again. A snapshot's
-    alignment is of the heads as trained, so on a merge step it comes from
-    the merge record. From an all-zero base the accumulated update is the
-    weight itself, and its rank is taken once."""
+    of `effective_weight` over the layers given their P° (when a snapshot is
+    due or MSE is evaluated), the snapshot, the evaluation; snapshot and
+    evaluation read that one pass, which takes one head product per layer,
+    none on an exact merge step, where it is given the merge's P (P - P° is
+    exactly zero). On a step without a snapshot the evaluation overwrites
+    the pass, so a snapshot after a stop_mse break takes its weights again.
+    A snapshot's alignment is of the heads as trained, so on a merge step it
+    comes from the merge record. From an all-zero base the accumulated
+    update is the weight itself, and its rank is taken once."""
     cfg.validate()
     root = RandomSource(cfg.seed)
     task = gen_least_squares(cfg.dataset.m, cfg.dataset.n, cfg.dataset.rank, root.child("task"))
@@ -664,8 +662,10 @@ def run(cfg: RunConfig) -> RunResult:
     mode = {"full": Mode.full(), "lora": Mode.multi(), "mhlora": Mode.multi(),
             "lte": Mode.worker(range(k))}[cfg.mode]
     merging = cfg.mode == "lte"
-    stale = stale_prods = None
-    if merging and cfg.policy.exact_correction:
+    exact = merging and cfg.policy.exact_correction
+    # per layer: no stale stacks, no stale product, no product a merge took
+    unmerged = stale = stale_prods = [None] * len(net.layers)
+    if exact:
         stale = [(np.zeros_like(layer.A), np.zeros_like(layer.B)) for layer in net.layers]
         stale_prods = [np.zeros_like(layer.W) for layer in net.layers]
     period = cfg.policy.period
@@ -674,7 +674,10 @@ def run(cfg: RunConfig) -> RunResult:
     record_params = cfg.record_params and n_heads > 0
     do_eval = _eval_enabled(cfg)
 
-    base_weights = _effective_weights(net, stale_prods)
+    def effective_weights(prods: list) -> list[Matrix]:
+        return [effective_weight(*args) for args in zip(net.layers, stale_prods, prods)]
+
+    base_weights = effective_weights(unmerged)
     # from a base of +0.0 entries w - w0 is bitwise w, so a snapshot's update
     # rank is its weight rank (a -0.0 base entry would turn -0.0 into +0.0)
     zero_base = not any(np.any(w) or np.signbit(w).any() for w in base_weights)
@@ -706,18 +709,18 @@ def run(cfg: RunConfig) -> RunResult:
             x, y = x[0], y[0]
         # a row of one loss per slice; full mode's one loss is a row of one
         losses.append(np.atleast_1d(_train_heads(net, opt, Batch(x, y), mode, stale)))
-        prods = None  # the heads' products, when a merge has just taken them
+        prods = unmerged  # the heads' products, when a merge has just taken them
         if merging and step % period == 0:
             rec, merged_prods = _fold(net, cfg.policy, len(merges) + 1, step, cfg.init,
                                       merge_rng, stale, stale_prods)
             merges.append(rec)
-            if stale:  # exact: no reset, so the heads still are the merged copies
+            if exact:  # no reset, so the heads still are the merged copies
                 stale, stale_prods, prods = rec.factors, merged_prods, merged_prods
             if cfg.policy.reset_opt:
                 opt.reset_states()
         snap_due = step % interval == 0 or step == cfg.total_steps
         if snap_due or do_eval:
-            weights = _effective_weights(net, stale_prods, prods)
+            weights = effective_weights(prods)
         if snap_due:
             snapshots.append(snapshot(step, weights))
         if do_eval:
@@ -727,7 +730,7 @@ def run(cfg: RunConfig) -> RunResult:
                 stopped_at = step
                 break
     if snapshots[-1].step != len(losses):  # a stop_mse break; its weights were overwritten
-        snapshots.append(snapshot(len(losses), _effective_weights(net, stale_prods)))
+        snapshots.append(snapshot(len(losses), effective_weights(unmerged)))
     return RunResult(
         config=cfg,
         task=task,

@@ -23,18 +23,20 @@ and a training regime is nothing more than its choice of terms
              and every product is one batched matmul
 
 `Mode.terms` chooses the coefficient of every term the passes run; the dense
-weights (`effective_weight`, lte's merge and eval) take the same s/N. The head
-gradients are those of the trained term, arrays shaped like its factors,
-and `trained_pairs` pairs every trained array with its gradient for the
+weight (`effective_weight`) takes the same s/N. The head gradients are
+those of the trained term, arrays shaped like its factors, and
+`trained_pairs` pairs every trained array with its gradient for the
 optimizer and the finite-difference probe. The forward pass and the input
 gradient run one GEMM pair per term; in multi mode that pair is over the
 stack's factors concatenated in index order, B_cat (m, N r) and
 A_cat (N r, n): W x + (s/N) B_cat (A_cat x).
-The dense increment the multi-head view adds to W,
-(s/N) * (sum_n B_n A_n - sum_n B°_n A°_n), is `combine`, the one
-arithmetic W + c (P - P°), of products P = B_cat A_cat of the same
-concatenations, each one GEMM, `head_product`; a caller holding a product
-(an exact lte run's stale P°) passes it instead of taking it again.
+The dense weight the multi-head view realizes, W + (s/N) * (P - P°), is
+`effective_weight`, the only code that forms it, for lte's merge, eval and
+snapshots alike: P = sum_n B_n A_n and the stale P° = sum_n B°_n A°_n are
+products of the same concatenations, each one GEMM, `head_product`, and
+`combine` is the one arithmetic of the increment c (P - P°). A caller
+holding a product (an exact lte run's stale P°, or its merged heads' P)
+passes it instead of taking it again.
 """
 
 from __future__ import annotations
@@ -227,32 +229,36 @@ def head_product(A: Matrix, B: Matrix) -> Matrix:
     return B_cat @ A_cat
 
 
-def combine(c: float, prod: Matrix, stale_prod: Matrix | None = None,
-            W: Matrix | None = None) -> Matrix:
-    """W + c * (P - P°) in this order: P - P° (P without P°), scaled by c,
-    W added (without W, the increment). Every increment and effective weight
-    takes it. A fresh array, bitwise the out-of-place formula; W + 0.0 when
-    P° is P."""
+def combine(c: float, prod: Matrix, stale_prod: Matrix | None = None) -> Matrix:
+    """The increment c * (P - P°) in this order: P - P° (P without P°),
+    then scaled by c. Every increment takes it. A fresh array, bitwise the
+    out-of-place formula; zeros when P° is P."""
     if stale_prod is None:
-        out = prod * c
-    else:
-        out = prod - stale_prod
-        out *= c
-    if W is not None:
-        out += W
+        return prod * c
+    out = prod - stale_prod
+    out *= c
     return out
 
 
-def effective_weight(layer: LoraLinear, stale: tuple[Matrix, Matrix] | None = None) -> Matrix:
-    """W + (s/N) * (sum_n B_n A_n - sum_n B°_n A°_n), the weight the
-    multi-head view realizes once the stale corrections, the stacks
-    (A°, B°) shaped like the head stacks (None: none), are subtracted:
-    `combine` of the heads' and the stale stacks' `head_product`s and W.
-    The result aliases neither W, the heads nor the stale stacks."""
+def effective_weight(layer: LoraLinear, stale_prod: Matrix | None = None,
+                     prod: Matrix | None = None) -> Matrix:
+    """W + (s/N) * (P - P°), the weight the multi-head view realizes once
+    the stale product P° = sum_n B°_n A°_n (None: no correction) is
+    subtracted, P = sum_n B_n A_n the heads' `head_product`, or `prod`,
+    which must equal it: `combine`'s increment with W added, the only code
+    that forms this weight. Raises ValueError when P° or `prod` is not
+    shaped like W. The result aliases neither W, the heads nor the
+    products."""
+    for name, p in (("stale_prod", stale_prod), ("prod", prod)):
+        if p is not None and getattr(p, "shape", None) != layer.W.shape:
+            raise ValueError(f"{name}: a product shaped like W {layer.W.shape}, got "
+                             f"{type(p).__name__} {getattr(p, 'shape', '')}")
     if not layer.num_heads:
         return layer.W.copy()
-    return combine(layer.s / layer.num_heads, head_product(layer.A, layer.B),
-                   None if stale is None else head_product(*stale), layer.W)
+    out = combine(layer.s / layer.num_heads,
+                  head_product(layer.A, layer.B) if prod is None else prod, stale_prod)
+    out += layer.W
+    return out
 
 
 def forward(

@@ -209,7 +209,7 @@ class TestSweep:
         # ReLU gaps define no population MSE: its cells stay empty, as
         # steps_to_threshold's do when no run reaches the threshold
         base = {"mode": "mhlora", "dataset": {"m": 4, "n": 4, "rank": 4},
-                "arch": {"dims": [4, 6, 4], "activation": "relu"},
+                "arch": {"dims": [4, 6, 4], "activation": "relu", "w_init": "kaiming"},
                 "N": 2, "r": 2, "batch_size": 8, "total_steps": 5}
         spec = write_json(tmp_path / "grid.json",
                           {"base": base, "grid": {"N": [1, 2]}, "seeds": seeds})

@@ -4,7 +4,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ltelab.layers import LoraHead, LoraLinear, split_product
-from ltelab.network import Batch, Mode, Network, effective_weight, fd_check, forward, loss_and_grad
+from ltelab.network import (Batch, Mode, Network, effective_weight, fd_check, forward, head_product,
+                            loss_and_grad)
 from ltelab.numerics import InitScheme, RandomSource
 
 
@@ -160,9 +161,13 @@ class TestEffectiveWeight:
         layer = LoraLinear(W=np.zeros((1, 1)), alpha=1.0, heads=heads)
         np.testing.assert_array_equal(effective_weight(layer), [[2.0]])
         # stale corrections B° A° = 1 and 2 come off before the shared s/N scale,
-        # given as (A°, B°) stacks shaped like the head stacks
+        # given as the product P° of (A°, B°) stacks shaped like the head stacks
         stale = (np.array([[[1.0]], [[2.0]]]), np.array([[[1.0]], [[1.0]]]))
-        np.testing.assert_array_equal(effective_weight(layer, stale), [[0.5]])
+        np.testing.assert_array_equal(effective_weight(layer, head_product(*stale)), [[0.5]])
+        # the factor pair is no product: it would broadcast, so it is refused
+        for stale_prod, prod in ((stale, None), (None, stale), (np.stack(stale), None)):
+            with pytest.raises(ValueError, match="shaped like W"):
+                effective_weight(layer, stale_prod, prod)
 
     def test_forward_consistency(self):
         layer = random_layer(RandomSource(17), n_heads=3)
@@ -306,7 +311,8 @@ class TestProperties:
         for h in range(n_heads):
             acc += layer_out(layer, x, Mode.worker(h), correction=stale[h]) - base
         stacks = tuple(np.stack(f) for f in zip(*stale))
-        np.testing.assert_allclose(acc, effective_weight(layer, stacks) @ x, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(acc, effective_weight(layer, head_product(*stacks)) @ x,
+                                   rtol=1e-10, atol=1e-10)
 
     @PROPERTY_SETTINGS
     @given(layer_shapes(max_heads=1))

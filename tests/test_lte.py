@@ -502,9 +502,10 @@ class TestFactorCorrections:
         ]
         a0, b0 = stale[0].copy(), stale[1].copy()
         dense = sum(layer.B[h] @ layer.A[h] - b0[h] @ a0[h] for h in range(n_heads))
-        before = effective_weight(layer, stale)
+        before = effective_weight(layer, head_product(*stale))
         rec = merge(net, workers, exact_policy())
-        np.testing.assert_allclose(effective_weight(layer, stale), before, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(effective_weight(layer, head_product(*stale)), before,
+                                   rtol=0, atol=1e-12)
         for h, w in enumerate(workers):
             a, b = w.corrections[0]
             assert a.tobytes() == layer.A[h].tobytes() and b.tobytes() == layer.B[h].tobytes()
@@ -512,8 +513,9 @@ class TestFactorCorrections:
 
 
 def _effective_weights(net, stale=None):
-    """Every layer's `effective_weight`, given per layer its stale stacks."""
-    return [effective_weight(layer, stale[li] if stale else None)
+    """Every layer's `effective_weight`, given per layer the product of its
+    stale stacks."""
+    return [effective_weight(layer, head_product(*stale[li]) if stale else None)
             for li, layer in enumerate(net.layers)]
 
 
@@ -666,9 +668,9 @@ class TestInPlaceIncrement:
         want = layer.W + c * diff
         inputs = [layer.W, layer.A, layer.B, *(stale or ())]
         before = [a.tobytes() for a in inputs]
-        inc = combine(c, head_product(layer.A, layer.B),
-                      None if stale is None else head_product(*stale))
-        eff = effective_weight(layer, stale)
+        stale_prod = None if stale is None else head_product(*stale)
+        inc = combine(c, head_product(layer.A, layer.B), stale_prod)
+        eff = effective_weight(layer, stale_prod)
         assert inc.tobytes() == (c * diff).tobytes()
         assert eff.tobytes() == want.tobytes()
         inc[...] = np.nan
@@ -746,6 +748,12 @@ class TestSharedEffectiveWeights:
             assert res.eval_mse[snap.step - 1] == 0.5 * np.sum((prod - res.task.W_star) ** 2)
 
 
+def _w_init(draw, dims):
+    """Zero base weights only for one layer: a chain from zeros trains
+    nothing, so a chain draws semi-orthogonal base weights in their place."""
+    return draw(st.sampled_from(["zeros" if len(dims) == 2 else "semi_orthogonal", "kaiming"]))
+
+
 @st.composite
 def mhlora_configs(draw):
     """Small joint multi-head runs: N 1-4 (N = 1 as mode lora or mhlora),
@@ -759,7 +767,7 @@ def mhlora_configs(draw):
         dataset=DatasetSpec(m=dims[-1], n=dims[0], rank=task_rank,
                             pool=draw(st.sampled_from([None, 3 * n_heads, 3 * n_heads + 2]))),
         arch=ArchSpec(dims=dims, activation=draw(st.sampled_from(["identity", "relu"])),
-                      w_init=draw(st.sampled_from(["zeros", "kaiming"]))),
+                      w_init=_w_init(draw, dims)),
         n_heads=n_heads,
         rank=draw(st.integers(1, min(dims))),
         alpha=draw(st.sampled_from([None, 3.0])),
@@ -847,7 +855,7 @@ def lte_configs(draw, max_layers=2):
         mode="lte",
         dataset=DatasetSpec(m=dims[-1], n=dims[0], rank=draw(st.integers(1, min(dims[0], dims[-1]))),
                             pool=draw(st.sampled_from([None, 3 * n_heads + 1]))),
-        arch=ArchSpec(dims=dims, w_init=draw(st.sampled_from(["zeros", "kaiming"]))),
+        arch=ArchSpec(dims=dims, w_init=_w_init(draw, dims)),
         n_heads=n_heads,
         rank=draw(st.integers(1, min(dims))),
         optimizer=optimizer,
@@ -961,12 +969,15 @@ class TestOneProductPerInterval:
     @pytest.mark.parametrize("stop", [False, True], ids=["to-the-end", "stop_mse"])
     def test_exact_run_takes_one_product_per_layer_per_step(self, monkeypatch, stop):
         calls = [0]
+        head_product = network.head_product
 
         def counted(A, B):
             calls[0] += 1
-            return network.head_product(A, B)
+            return head_product(A, B)
 
+        # the merge takes its product in lte, the effective weights theirs in network
         monkeypatch.setattr(lte, "head_product", counted)
+        monkeypatch.setattr(network, "head_product", counted)
         T, n_merges, n_layers = 5, 4, 2
         cfg = ls_config(mode="lte", n_heads=4, dim=8, total_steps=T * n_merges,
                         snapshot_interval=3, policy=exact_policy(period=T))
@@ -989,10 +1000,16 @@ class TestOneProductPerInterval:
 
 class TestPolicy:
     def test_exact_correction_incompatible_with_resets(self):
-        with pytest.raises(ConfigError):
-            MergePolicy(reset_B=True, exact_correction=True)
-        with pytest.raises(ConfigError):
-            MergePolicy(reset_B=False, reset_A=True, exact_correction=True)
+        # exact correction takes no reset, and a merge without it must reset B,
+        # or the heads it added to W would count twice
+        for kwargs, path in [
+            ({"reset_B": True, "exact_correction": True}, "policy.exact_correction"),
+            ({"reset_B": False, "reset_A": True, "exact_correction": True}, "policy.exact_correction"),
+            ({"reset_B": False}, "policy.reset_B"),
+            ({"reset_B": False, "reset_A": True}, "policy.reset_B"),
+        ]:
+            with pytest.raises(ConfigError, match=f"^{path}:"):
+                MergePolicy(**kwargs)
 
     def test_defaults(self):
         pol = MergePolicy()
@@ -1256,7 +1273,7 @@ class TestStepsToMse:
     def test_none_without_population_mse(self):
         cfg = ls_config(mode="lte", dim=8, total_steps=3)
         cfg = dataclasses.replace(cfg, arch=dataclasses.replace(cfg.arch, dims=(8, 8, 8),
-                                                                activation="relu"))
+                                                                activation="relu", w_init="kaiming"))
         res = run_lte(cfg)
         assert res.eval_mse is None
         assert res.steps_to_mse(float("inf")) is None
@@ -1416,6 +1433,17 @@ class TestConfig:
         dataclasses.replace(cfg, n_heads=np.int64(2), rank=np.int32(2), seed=np.uint64(7),
                             alpha=np.float32(2), stop_mse=1).validate()
 
+    @pytest.mark.parametrize("mode", ["full", "mhlora", "lte"])
+    def test_zero_chain_rejected(self, mode):
+        # W = 0 and B = 0 in every layer of a chain: each layer outputs 0 and
+        # every gradient is zero; one layer from zeros still trains
+        cfg = ls_config(mode=mode, dim=8)
+        for dims in [(8, 8, 8), (8, 4, 6, 8)]:
+            with pytest.raises(ConfigError, match="^arch.w_init:"):
+                dataclasses.replace(cfg, arch=ArchSpec(dims=dims)).validate()
+            dataclasses.replace(cfg, arch=ArchSpec(dims=dims, w_init="kaiming")).validate()
+        cfg.validate()
+
     def test_arch_dataset_dims_must_match(self):
         cfg = ls_config()
         bad = dataclasses.replace(cfg, dataset=dataclasses.replace(cfg.dataset, m=8, rank=8))
@@ -1429,7 +1457,8 @@ class TestConfig:
         # validate() and the runners' eval switch share one predicate
         cfg = ls_config(mode="lte", dim=8, stop_mse=1e-3)
         cfg = dataclasses.replace(
-            cfg, arch=dataclasses.replace(cfg.arch, dims=(8, 8, 8), activation=activation, loss=loss)
+            cfg, arch=dataclasses.replace(cfg.arch, dims=(8, 8, 8), activation=activation, loss=loss,
+                                          w_init="kaiming")
         )
         assert _eval_enabled(cfg) is defined
         if defined:
