@@ -16,6 +16,7 @@ import numpy as np
 
 from .analysis import DeviationTrace
 from .lte import RunResult
+from .network import combine, head_product
 from .numerics import frobenius, save_matrix_csv
 
 METRICS_COLUMNS = (
@@ -118,9 +119,16 @@ def write_analysis_csv(result: RunResult, outdir: str | os.PathLike) -> None:
                     emit(snap.step, li, "mean_cosine", rep.mean_cosine)
                     emit(snap.step, li, "mean_grassman_pairs", rep.mean_grassman_pairs)
                     emit(snap.step, li, "mean_grassman_scaled", rep.mean_grassman_scaled)
+        # each record's `delta`, one head product per layer: an exact record's
+        # stale stacks are the previous record's factors, so its P° is their P
+        prev_factors = prev_prods = [None] * len(base)
         for rec in result.merges:
-            for li, d in enumerate(rec.delta):
-                emit(rec.step, li, "merge_delta_fro", frobenius(d))
+            prods = [head_product(A, B) for A, B in rec.factors]
+            for li, (c, P, stale) in enumerate(zip(rec.coefs, prods, rec.stale)):
+                if stale is not None:
+                    stale = prev_prods[li] if stale is prev_factors[li] else head_product(*stale)
+                emit(rec.step, li, "merge_delta_fro", frobenius(combine(c, P, stale)))
+            prev_factors, prev_prods = rec.factors, prods
 
 
 def write_run_artifacts(result: RunResult, outdir: str | os.PathLike) -> None:

@@ -46,7 +46,7 @@ from .data import LeastSquaresTask, gen_least_squares
 from .layers import LoraHead, LoraLinear
 from .network import (ACTIVATIONS, LOSSES, Batch, Mode, Network, combine, correction_mismatch,
                       effective_weight, head_product, loss_and_grad, trained_pairs)
-from .numerics import INIT_KINDS, InitScheme, Matrix, RandomSource, init_matrix
+from .numerics import INIT_KINDS, InitScheme, Matrix, RandomSource, init_matrix, init_stack
 from .optim import AdamState, OptimConfig, adamw_step, sgd_step
 
 RUN_MODES = ("full", "lora", "mhlora", "lte")
@@ -318,14 +318,17 @@ class KeyedOptimizer:
 
 class IidStream:
     """Private i.i.d. streams over a least-squares task, one per rng: a draw
-    is the (k, n, b) inputs, slice j from rngs[j], and their targets W* x."""
+    is the (k, n, b) inputs, slice j drawn in place from rngs[j], and their
+    targets W* x."""
 
     def __init__(self, task: LeastSquaresTask, rngs: Sequence[RandomSource]):
         self.task = task
         self.rngs = list(rngs)
 
     def next(self, batch_size: int) -> tuple[np.ndarray, np.ndarray]:
-        x = np.stack([rng.standard_normal((self.task.n, batch_size)) for rng in self.rngs])
+        x = np.empty((len(self.rngs), self.task.n, batch_size))
+        for rng, xj in zip(self.rngs, x):
+            rng.standard_normal(xj.shape, out=xj)
         return x, self.task.W_star @ x
 
 
@@ -379,7 +382,9 @@ class UpdateRecord:
     first record's stale stacks are zeros. `merge` records fresh stacks of
     its workers' corrections. delta[layer] recomputes the dense increment
     c (B A - B° A°), `combine` of the stacks' `head_product`s, bitwise what
-    the merge added to W. Worker n's contribution, s (B_n A_n - B°_n A°_n),
+    the merge added to W; `write_analysis_csv` forms the same increments
+    but takes an exact record's P° from the previous record, whose factors
+    its stale stacks are. Worker n's contribution, s (B_n A_n - B°_n A°_n),
     comes from slice n of each stack."""
 
     merge_id: int
@@ -501,8 +506,7 @@ def _fold(net: Network, policy: MergePolicy, merge_id: int, step: int,
         if policy.reset_B:
             layer.B[...] = 0.0
         if policy.reset_A:
-            for h in range(layer.num_heads):
-                layer.A[h] = init_matrix(layer.rank, layer.n, init, rng.child(merge_id, li, h))
+            layer.A[...] = init_stack(layer.num_heads, layer.rank, layer.n, init, rng, merge_id, li)
     return UpdateRecord(merge_id=merge_id, step=step, coefs=coefs, factors=factors,
                         stale=list(stale)), prods
 
@@ -571,10 +575,8 @@ def _build_network(cfg: RunConfig, root: RandomSource, n_heads: int) -> Network:
                 fan_out, fan_in, InitScheme(cfg.arch.w_init, cfg.arch.w_gain),
                 root.child("w_init", li),
             )
-        heads = [
-            LoraHead.fresh(fan_out, fan_in, cfg.rank, cfg.init, root.child("head_init", li, i))
-            for i in range(n_heads)
-        ]
+        heads = [LoraHead(A=a, B=np.zeros((fan_out, cfg.rank)))
+                 for a in init_stack(n_heads, cfg.rank, fan_in, cfg.init, root, "head_init", li)]
         layers.append(LoraLinear(W=w, alpha=cfg.effective_alpha, heads=heads))
     acts = [cfg.arch.activation] * (len(layers) - 1) + ["identity"]
     return Network(layers, activations=acts, loss=cfg.arch.loss)

@@ -28,6 +28,7 @@ __all__ = [
     "as_matrix",
     "frobenius",
     "init_matrix",
+    "init_stack",
     "load_matrix_csv",
     "save_matrix_csv",
     "svd",
@@ -69,6 +70,18 @@ def _uint32_words(n: int) -> list[int]:
     return words
 
 
+def _stream_words(seed: int, path: tuple[int, ...]) -> np.ndarray:
+    """The uint32 words SeedSequence assembles from (entropy=seed,
+    spawn_key=path): the seed's, zero-padded to the pool size under a
+    non-empty path, then each path entry's."""
+    words = _uint32_words(seed)
+    if path:
+        words += [0] * (4 - len(words))  # SeedSequence's pool size
+        for label in path:
+            words += _uint32_words(label)
+    return np.array(words, dtype=np.uint32)
+
+
 class RandomSource:
     """Seeded, splittable randomness on a counter-based (Philox) generator.
 
@@ -79,8 +92,7 @@ class RandomSource:
 
     The stream at ``(seed, path)`` is exactly
     ``SeedSequence(entropy=seed, spawn_key=path)``'s, seeded from the uint32
-    words that SeedSequence assembles from the two (the seed's, zero-padded to
-    the pool size under a non-empty path, then each path entry's), which
+    words that SeedSequence assembles from the two (`_stream_words`), which
     spares SeedSequence coercing the path element by element.
     """
 
@@ -90,12 +102,7 @@ class RandomSource:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
         self.seed = seed
         self.path = tuple(_path)
-        words = _uint32_words(seed)
-        if self.path:
-            words += [0] * (4 - len(words))  # SeedSequence's pool size
-            for label in self.path:
-                words += _uint32_words(label)
-        ss = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+        ss = np.random.SeedSequence(_stream_words(seed, self.path))
         self._gen = np.random.Generator(np.random.Philox(ss))
 
     def child(self, *labels) -> "RandomSource":
@@ -104,8 +111,9 @@ class RandomSource:
             raise ValueError("child() needs at least one label")
         return RandomSource(self.seed, self.path + tuple(_label_word(x) for x in labels))
 
-    def standard_normal(self, shape) -> np.ndarray:
-        return self._gen.standard_normal(shape)
+    def standard_normal(self, shape, out: np.ndarray | None = None) -> np.ndarray:
+        """Draw `shape` normals, into `out` (C-contiguous, of that shape) if given."""
+        return self._gen.standard_normal(shape, out=out)
 
     def uniform(self, low: float, high: float, shape) -> np.ndarray:
         return self._gen.uniform(low, high, shape)
@@ -161,6 +169,28 @@ def init_matrix(rows: int, cols: int, scheme: InitScheme, rng: RandomSource) -> 
         out = _semi_orthogonal(rows, cols, rng)
     if scheme.gain != 1.0:
         out = out * scheme.gain
+    return out
+
+
+def init_stack(k: int, rows: int, cols: int, scheme: InitScheme, rng: RandomSource,
+               *labels) -> np.ndarray:
+    """A (k, rows, cols) stack whose slice h is bitwise
+    ``init_matrix(rows, cols, scheme, rng.child(*labels, h))``: the one
+    place where head h of a stack draws from its own child stream. One
+    generator serves every slice, re-keyed per slice as Philox keys a
+    fresh stream (the key from the child's SeedSequence, counter 0, an
+    empty buffer), which spares building a generator per slice."""
+    out = np.empty((k, rows, cols))
+    src = rng.child(*labels, 0)
+    bits = src._gen.bit_generator
+    fresh = bits.state  # counter 0, empty buffer: only the key differs per slice
+    words = _stream_words(src.seed, src.path)  # the last word is the slice index, h < 2**32
+    for h in range(k):
+        if h:
+            words[-1] = h
+            fresh["state"]["key"] = np.random.SeedSequence(words).generate_state(2, np.uint64)
+            bits.state = fresh
+        out[h] = init_matrix(rows, cols, scheme, src)
     return out
 
 

@@ -1331,6 +1331,51 @@ class TestStreams:
                 assert ys[j].tobytes() == batch.targets.tobytes()
 
 
+class TestResetAStreams:
+    """After a reset_A merge, head h of layer li is the matrix drawn from its
+    own stream, `rng.child(merge_id, li, h)`, of the merge's source: pinned
+    against `init_matrix` on that child, one stream at a time."""
+
+    @pytest.mark.parametrize("kind,gain", [("xavier", 1.0), ("kaiming", 0.5),
+                                           ("semi_orthogonal", -2.0)])
+    def test_merge(self, kind, gain):
+        cfg = config_from_dict({"mode": "lte", "dataset": {"m": 4, "n": 5, "rank": 4},
+                                "arch": {"dims": [5, 6, 4], "w_init": "xavier"}, "N": 3, "r": 2})
+        net = lte._build_network(cfg, RandomSource(3), 3)
+        opt = KeyedOptimizer("sgd", OptimConfig(eta=0.1))
+        workers = [WorkerState(head_index=i, stream=None, opt=opt, corrections=[],
+                               use_correction=False) for i in range(3)]
+        scheme, src = InitScheme(kind, gain), RandomSource(2**64 - 1).child("merge")
+        merge(net, workers, MergePolicy(reset_A=True), merge_id=7, init=scheme, rng=src)
+        for li, layer in enumerate(net.layers):
+            for h in range(3):
+                want = init_matrix(2, layer.n, scheme, src.child(7, li, h))
+                assert layer.A[h].tobytes() == want.tobytes()
+
+    def test_run_on_a_two_layer_chain(self):
+        # the heads at step 0 come from head_init's children, and after merge
+        # j (snapshotted at its step with record_params) from the merge
+        # stream's child (j, li, h); the run ends on merge 2
+        cfg = config_from_dict({
+            "mode": "lte", "dataset": {"m": 4, "n": 5, "rank": 4},
+            "arch": {"dims": [5, 6, 4], "w_init": "kaiming"}, "N": 3, "r": 2, "T": 3,
+            "policy": {"reset_A": True}, "init": {"kind": "xavier", "gain": 0.5},
+            "batch_size": 12, "total_steps": 6, "record_params": True, "seed": 1729})
+        res = run_lte(cfg)
+        root = RandomSource(cfg.seed)
+        streams = {0: lambda li, h: root.child("head_init", li, h),
+                   3: lambda li, h: root.child("merge").child(1, li, h),
+                   6: lambda li, h: root.child("merge").child(2, li, h)}
+        assert [snap.step for snap in res.snapshots] == list(streams)
+        for snap in res.snapshots:
+            for li, (A, _) in enumerate(snap.params):
+                for h in range(3):
+                    want = init_matrix(2, cfg.arch.dims[li], cfg.init, streams[snap.step](li, h))
+                    assert A[h].tobytes() == want.tobytes()
+        assert all(layer.A.tobytes() == A.tobytes()
+                   for layer, (A, _) in zip(res.network.layers, res.snapshots[-1].params))
+
+
 class TestConfig:
     def test_rank_error_names_r(self):
         cfg = ls_config(mode="lte", dim=4, rank=5)

@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ltelab.numerics import (
+    INIT_KINDS,
     InitScheme,
     RandomSource,
     init_matrix,
+    init_stack,
     load_matrix_csv,
     save_matrix_csv,
     svd,
@@ -158,6 +160,36 @@ class TestRandomSource:
         # a numpy that assembles entropy differently fails here rather than
         # silently moving every stream
         np.testing.assert_array_equal(make().uniform(-1, 1, 4), first)
+
+
+class TestInitStack:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        kind=st.sampled_from(INIT_KINDS),
+        gain=st.sampled_from([1.0, 0.5, -3.0]),
+        k=st.integers(1, 8),
+        rows=st.integers(1, 6),
+        cols=st.integers(1, 6),
+        seed=st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+        parent=st.lists(st.one_of(st.integers(0, 2**80), st.text(max_size=6)), max_size=2),
+        labels=st.lists(st.one_of(st.integers(0, 2**80), st.text(max_size=6)), max_size=3),
+    )
+    def test_slice_is_its_child_streams_matrix(self, kind, gain, k, rows, cols, seed, parent,
+                                               labels):
+        # slice h is bitwise the matrix drawn from its own fresh child stream,
+        # and the stack leaves the source it derives from where it was
+        rng = RandomSource(seed).child(*parent) if parent else RandomSource(seed)
+        scheme = InitScheme(kind, gain)
+        stack = init_stack(k, rows, cols, scheme, rng, *labels)
+        assert stack.shape == (k, rows, cols)
+        for h in range(k):
+            want = init_matrix(rows, cols, scheme, rng.child(*labels, h))
+            assert stack[h].tobytes() == want.tobytes()
+        untouched = RandomSource(seed).child(*parent) if parent else RandomSource(seed)
+        assert rng.standard_normal(3).tobytes() == untouched.standard_normal(3).tobytes()
+
+    def test_no_slices(self):
+        assert init_stack(0, 3, 2, InitScheme("xavier"), RandomSource(0), "x").shape == (0, 3, 2)
 
 
 def test_csv_round_trip(tmp_path):
