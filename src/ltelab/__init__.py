@@ -32,6 +32,7 @@ from .lte import (
     DatasetSpec,
     MergePolicy,
     RunConfig,
+    RunDiverged,
     RunResult,
     Snapshot,
     UpdateRecord,

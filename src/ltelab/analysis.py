@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .layers import LoraLinear
-from .network import Batch, _concat
+from .network import Batch, _concat, combine, head_product
 from .numerics import Matrix, as_matrix, frobenius, singular_values, svd
 
 # Sign conventions for the first-order part of the effective-update formula.
@@ -333,6 +333,26 @@ def verify_effective_update(
     )
 
 
+def merge_deltas(merges):
+    """Yield each merge record's per-layer increments `combine(c, P, P°)`,
+    bitwise its `delta`, taking one head product P per record and layer. An
+    exact run's record has the previous record's factors as its stale
+    stacks, so its P° is that record's P; any other stale stacks (a first
+    record's zeros, a hand-driven `merge`'s fresh copies) take their own
+    product."""
+    prev_factors = prev_prods = None
+    for rec in merges:
+        prods = [head_product(A, B) for A, B in rec.factors]
+        deltas = []
+        for li, (c, P, stale) in enumerate(zip(rec.coefs, prods, rec.stale)):
+            if stale is not None:
+                reused = prev_factors is not None and stale is prev_factors[li]
+                stale = prev_prods[li] if reused else head_product(*stale)
+            deltas.append(combine(c, P, stale))
+        yield deltas
+        prev_factors, prev_prods = rec.factors, prods
+
+
 @dataclass
 class RankTrace:
     """Effective ranks along a run: of each merge increment, of the base
@@ -358,8 +378,8 @@ def update_rank_trace(run) -> RankTrace:
     merge_steps = np.asarray([rec.step for rec in run.merges])
     delta_rank = np.full((len(run.merges), n_layers), np.nan)
     skipped = []
-    for mi, rec in enumerate(run.merges):
-        for li, d in enumerate(rec.delta):
+    for mi, (rec, deltas) in enumerate(zip(run.merges, merge_deltas(run.merges))):
+        for li, d in enumerate(deltas):
             if np.any(d != 0.0):
                 delta_rank[mi, li] = effective_rank(d)
             else:

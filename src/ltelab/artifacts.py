@@ -8,21 +8,23 @@ rendered with shortest round-trip decimals.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 import os
 
 import numpy as np
 
-from .analysis import DeviationTrace
+from .analysis import DeviationTrace, merge_deltas
 from .lte import RunResult
-from .network import combine, head_product
 from .numerics import frobenius, save_matrix_csv
 
 METRICS_COLUMNS = (
     "step", "merge_id", "worker_id", "loss",
     "eff_weight_dev", "update_eff_rank", "mean_cosine", "mean_grassman",
 )
+_LOSS_BLOCK_CELLS = 256  # losses `_loss_cells` formats in one pass
 
 
 def _fmt(value) -> str:
@@ -56,8 +58,13 @@ def write_metrics_csv(result: RunResult, outdir: str | os.PathLike) -> None:
       update_eff_rank  effective rank of that change, averaged over layers
       mean_cosine      mean off-diagonal head cosine, averaged over layers
       mean_grassman    mean pairwise Grassman distance, averaged over layers
+
+    The bytes do not depend on how rows are assembled: a loss cell is the
+    `_fmt` of the loss whether it is formatted alone or, as here, in one
+    pass over a block of losses, and each step's rows are written as one
+    string.
     """
-    by_step = {}
+    tails = {}  # snapshot step -> its rows' text after the loss
     base = result.snapshots[0].weights
     for snap in result.snapshots:
         if snap.step == 0:
@@ -69,24 +76,32 @@ def write_metrics_csv(result: RunResult, outdir: str | os.PathLike) -> None:
         else:
             cos = _nanmean([a.mean_cosine for a in snap.alignment])
             gr = _nanmean([a.mean_grassman_pairs for a in snap.alignment])
-        by_step[snap.step] = (dev, rank, cos, gr)
+        tails[snap.step] = "," + ",".join(map(_fmt, (dev, rank, cos, gr))) + "\n"
 
-    merge_steps = [rec.step for rec in result.merges]
+    merge_ids = np.searchsorted([rec.step for rec in result.merges],
+                                np.arange(1, result.steps_run + 1), side="right").tolist()
     path = os.path.join(os.fspath(outdir), "metrics.csv")
     with open(path, "w", encoding="ascii") as fh:
         fh.write(",".join(METRICS_COLUMNS) + "\n")
-        merge_idx = 0
-        for si in range(result.steps_run):
-            step = si + 1
-            while merge_idx < len(merge_steps) and merge_steps[merge_idx] <= step:
-                merge_idx += 1
-            extras = by_step.get(step)
-            tail = (
-                ",".join(_fmt(v) for v in extras) if extras is not None else ",,,"
-            )
-            for worker in range(result.losses.shape[1]):
-                loss = result.losses[si, worker]
-                fh.write(f"{step},{merge_idx},{worker},{_fmt(loss)},{tail}\n")
+        for step, (merge_id, cells) in enumerate(zip(merge_ids, _loss_cells(result.losses)), 1):
+            tail = tails.get(step, ",,,,\n")
+            prefix = f"{step},{merge_id},"
+            fh.write(prefix + (tail + prefix).join(cells) + tail)
+
+
+def _loss_cells(losses: np.ndarray):
+    """Each step's "worker,loss" cells, the loss as `_fmt` writes it. They
+    are formatted a block of steps at a time, by the repr of the block's
+    list of losses, which writes each float as repr(float) does and NaN as
+    "nan"; a block bounds the memory the text takes."""
+    n_steps, k = losses.shape
+    ids = [f"{w}," for w in range(k)]
+    block = max(1, _LOSS_BLOCK_CELLS // k)
+    for start in range(0, n_steps, block):
+        text = repr(losses[start:start + block].ravel().tolist())[1:-1].replace("nan", "")
+        cells = list(map(operator.add, itertools.cycle(ids), text.split(", ")))
+        for i in range(0, len(cells), k):
+            yield cells[i:i + k]
 
 
 def write_snapshots(result: RunResult, outdir: str | os.PathLike) -> None:
@@ -119,16 +134,9 @@ def write_analysis_csv(result: RunResult, outdir: str | os.PathLike) -> None:
                     emit(snap.step, li, "mean_cosine", rep.mean_cosine)
                     emit(snap.step, li, "mean_grassman_pairs", rep.mean_grassman_pairs)
                     emit(snap.step, li, "mean_grassman_scaled", rep.mean_grassman_scaled)
-        # each record's `delta`, one head product per layer: an exact record's
-        # stale stacks are the previous record's factors, so its P° is their P
-        prev_factors = prev_prods = [None] * len(base)
-        for rec in result.merges:
-            prods = [head_product(A, B) for A, B in rec.factors]
-            for li, (c, P, stale) in enumerate(zip(rec.coefs, prods, rec.stale)):
-                if stale is not None:
-                    stale = prev_prods[li] if stale is prev_factors[li] else head_product(*stale)
-                emit(rec.step, li, "merge_delta_fro", frobenius(combine(c, P, stale)))
-            prev_factors, prev_prods = rec.factors, prods
+        for rec, deltas in zip(result.merges, merge_deltas(result.merges)):
+            for li, d in enumerate(deltas):
+                emit(rec.step, li, "merge_delta_fro", frobenius(d))
 
 
 def write_run_artifacts(result: RunResult, outdir: str | os.PathLike) -> None:

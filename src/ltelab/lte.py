@@ -34,6 +34,7 @@ hand-built `WorkerState`s through the same update and fold.
 
 from __future__ import annotations
 
+import math
 import numbers
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, fields
@@ -56,6 +57,11 @@ HEADS_KEY = "heads"
 
 class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending field."""
+
+
+class RunDiverged(ValueError):
+    """A run left the finite numbers; the message names the step, the
+    quantity that stopped being finite and the layer."""
 
 
 _TYPES = {"an integer": numbers.Integral, "a real number": numbers.Real, "a bool": (bool, np.bool_)}
@@ -380,12 +386,14 @@ class UpdateRecord:
     record's factors are the next interval's stale stacks, so they are
     read-only and shared with the next record, whose stale they are; the
     first record's stale stacks are zeros. `merge` records fresh stacks of
-    its workers' corrections. delta[layer] recomputes the dense increment
-    c (B A - B° A°), `combine` of the stacks' `head_product`s, bitwise what
-    the merge added to W; `write_analysis_csv` forms the same increments
-    but takes an exact record's P° from the previous record, whose factors
-    its stale stacks are. Worker n's contribution, s (B_n A_n - B°_n A°_n),
-    comes from slice n of each stack."""
+    its workers' corrections. delta[layer] recomputes one record's dense
+    increment c (B A - B° A°), `combine` of the stacks' `head_product`s
+    (two per layer in exact mode), bitwise what the merge added to W; for
+    a run's records `analysis.merge_deltas` forms the same increments with
+    one product per record and layer, taking an exact record's P° from the
+    previous record, whose factors its stale stacks are. Worker n's
+    contribution, s (B_n A_n - B°_n A°_n), comes from slice n of each
+    stack."""
 
     merge_id: int
     step: int
@@ -622,6 +630,10 @@ def _alignment(net: Network, merged: UpdateRecord | None) -> list[AlignmentRepor
     return [head_alignment(heads) for heads in (merged.factors if merged else net.layers)]
 
 
+def _first_nonfinite(weights: list[Matrix]) -> int | None:
+    return next((li for li, w in enumerate(weights) if not np.isfinite(w).all()), None)
+
+
 def _rank(m: Matrix) -> float:
     """Effective rank, NaN for the zero matrix, where it is undefined."""
     return effective_rank(m) if np.any(m != 0.0) else float("nan")
@@ -651,7 +663,9 @@ def run(cfg: RunConfig) -> RunResult:
     the pass, so a snapshot after a stop_mse break takes its weights again.
     A snapshot's alignment is of the heads as trained, so on a merge step it
     comes from the merge record. From an all-zero base the accumulated
-    update is the weight itself, and its rank is taken once."""
+    update is the weight itself, and its rank is taken once. A run raises
+    RunDiverged at the first step whose population MSE is not finite, or
+    at a snapshot whose effective weights are not all finite."""
     cfg.validate()
     root = RandomSource(cfg.seed)
     task = gen_least_squares(cfg.dataset.m, cfg.dataset.n, cfg.dataset.rank, root.child("task"))
@@ -686,6 +700,10 @@ def run(cfg: RunConfig) -> RunResult:
     merges: list[UpdateRecord] = []
 
     def snapshot(step: int, weights: list[Matrix]) -> Snapshot:
+        li = _first_nonfinite(weights)
+        if li is not None:
+            raise RunDiverged(f"step {step}: the snapshot's effective weight of layer {li} "
+                              "is not finite")
         weight_rank = [_rank(w) for w in weights]
         update_rank = (list(weight_rank) if zero_base
                        else [_rank(w - w0) for w, w0 in zip(weights, base_weights)])
@@ -727,6 +745,11 @@ def run(cfg: RunConfig) -> RunResult:
             snapshots.append(snapshot(step, weights))
         if do_eval:
             mse = _population_mse(weights, task, overwrite=not snap_due)
+            if not math.isfinite(mse):
+                li = _first_nonfinite(effective_weights(prods))
+                where = "every layer's is finite" if li is None else f"layer {li}'s is not"
+                raise RunDiverged(f"step {step}: the population MSE is {mse!r}; of the "
+                                  f"effective weights, {where}")
             eval_mse.append(mse)
             if cfg.stop_mse is not None and mse <= cfg.stop_mse:
                 stopped_at = step

@@ -7,6 +7,7 @@ from conftest import exact_policy, ls_config
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ltelab import analysis
 from ltelab.analysis import (
     AlignmentReport,
     _principal_angle_distance,
@@ -14,6 +15,7 @@ from ltelab.analysis import (
     effective_rank,
     grassman_distance,
     head_alignment,
+    merge_deltas,
     trajectory_deviation,
     update_rank_trace,
     verify_effective_update,
@@ -30,7 +32,7 @@ from ltelab.lte import (
     run_lte,
     run_mhlora,
 )
-from ltelab.network import Network
+from ltelab.network import Network, head_product
 from ltelab.numerics import RandomSource, svd
 from ltelab.optim import OptimConfig
 
@@ -440,6 +442,18 @@ class TestVerifyEffectiveUpdate:
                 assert 50.0 <= ratio <= 200.0
 
 
+def _count_products(monkeypatch) -> list:
+    """Record every head product `analysis` takes from here on."""
+    products = []
+
+    def counted(A, B):
+        products.append(A.shape)
+        return head_product(A, B)
+
+    monkeypatch.setattr(analysis, "head_product", counted)
+    return products
+
+
 class TestUpdateRankTrace:
     def test_single_head_without_merging_stays_low(self):
         res = run_mhlora(ls_config(mode="lora", n_heads=1, rank=4, dim=16, total_steps=200,
@@ -493,3 +507,37 @@ class TestUpdateRankTrace:
         trace = update_rank_trace(res)
         assert trace.delta_rank.shape[0] == 3
         assert np.nanmax(trace.delta_rank) <= 2.0 + 1e-9
+
+    def test_exact_run_takes_one_product_per_record(self, monkeypatch):
+        # the first record's stale stacks are zeros; each later record's are
+        # the previous record's factors, whose product it reuses
+        res = run_lte(ls_config(mode="lte", dim=8, n_heads=2, rank=2, total_steps=20,
+                                policy=exact_policy(period=2)))
+        assert len(res.merges) == 10
+        want = np.asarray([[effective_rank(d) if np.any(d != 0.0) else np.nan for d in rec.delta]
+                           for rec in res.merges])
+        products = _count_products(monkeypatch)
+        trace = update_rank_trace(res)
+        assert len(products) == 11
+        assert trace.delta_rank.tobytes() == want.tobytes()
+
+    def test_hand_driven_merges_take_their_own_stale_products(self, monkeypatch):
+        # `merge` records fresh copies of its workers' corrections, never the
+        # previous record's factors, so each record takes P and P°
+        rng = RandomSource(40)
+        layer = gaussian_layer(rng, 5, 4, 2, 3)
+        workers = [WorkerState(head_index=i, stream=None,
+                               opt=KeyedOptimizer("sgd", OptimConfig(eta=0.1)),
+                               corrections=[(np.zeros((2, 4)), np.zeros((5, 2)))],
+                               use_correction=True)
+                   for i in range(3)]
+        policy = MergePolicy(period=1, reset_B=False, exact_correction=True)
+        records = []
+        for merge_id in (1, 2, 3):
+            layer.A += rng.child("dA", merge_id).standard_normal(layer.A.shape)
+            layer.B += rng.child("dB", merge_id).standard_normal(layer.B.shape)
+            records.append(merge(Network([layer]), workers, policy, merge_id=merge_id))
+        products = _count_products(monkeypatch)
+        got = [[d.tobytes() for d in deltas] for deltas in merge_deltas(records)]
+        assert len(products) == 6
+        assert got == [[d.tobytes() for d in rec.delta] for rec in records]

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import DIVERGING_CONFIGS
 
 import ltelab
 from ltelab.artifacts import write_run_artifacts
@@ -115,6 +116,13 @@ class TestTrain:
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "r:" in err
+
+    def test_diverging_run_exits_2_naming_the_step(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", DIVERGING_CONFIGS["relu_mhlora"])
+        with np.errstate(all="ignore"):
+            assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "step 60: the snapshot's effective weight of layer 0 is not finite" in err
 
     def test_unknown_field_rejected(self, tmp_path, capsys):
         bad = full_8x8_config()

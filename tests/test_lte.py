@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import exact_policy, ls_config
+from conftest import DIVERGING_CONFIGS, exact_policy, ls_config
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +19,7 @@ from ltelab.lte import (
     MergePolicy,
     PooledStream,
     RunConfig,
+    RunDiverged,
     WorkerState,
     _eval_enabled,
     _train_heads,
@@ -1227,6 +1228,23 @@ class TestRunLoop:
     def test_lte_snapshots_every_merge_by_default(self):
         res = run_lte(ls_config(mode="lte", n_heads=2, dim=8, period=5, total_steps=20))
         assert [s.step for s in res.snapshots] == [0, 5, 10, 15, 20]
+
+
+class TestDivergence:
+    """A run that leaves the finite numbers stops with RunDiverged, naming
+    the step, the quantity and the layer, before a rank's SVD sees it."""
+
+    @pytest.mark.parametrize("name, message", [
+        ("identity_chain", "step 11: the population MSE is inf; of the effective weights, "
+                           "every layer's is finite"),
+        ("relu_mhlora", "step 60: the snapshot's effective weight of layer 0 is not finite"),
+    ])
+    def test_names_step_quantity_and_layer(self, name, message):
+        cfg = config_from_dict(DIVERGING_CONFIGS[name])
+        with np.errstate(all="ignore"), pytest.raises(RunDiverged) as info:
+            lte.run(cfg)
+        assert str(info.value) == message
+        assert isinstance(info.value, ValueError)
 
 
 class TestStepClock:
