@@ -25,11 +25,12 @@ head j's. A merge (`_fold`) takes one GEMM per layer, the merged heads'
 product P, sets W to `effective_weight` given P and keeps copies of the
 head stacks in its record, not a dense array. In an exact run those copies
 are the next interval's stale factors and P its stale product P°, which
-`run` keeps, so its eval, like its snapshots, maps `effective_weight` over
-the layers and takes one head product per layer per step (none on a merge
-step, where the heads are the merged copies). Without a correction every
-layer's stale stacks and product are None. `local_step` and `merge` drive
-hand-built `WorkerState`s through the same update and fold.
+`run` keeps, so the one pass of `effective_weight` over the layers that
+its eval, guard and snapshots read takes one head product per layer per
+step (none on a merge step, where the heads are the merged copies).
+Without a correction every layer's stale stacks and product are None.
+`local_step` and `merge` drive hand-built `WorkerState`s through the same
+update and fold.
 """
 
 from __future__ import annotations
@@ -602,14 +603,13 @@ def _make_stream(cfg: RunConfig, task: LeastSquaresTask, root: RandomSource, k: 
     return PooledStream(xt, np.ascontiguousarray(y.T), k)
 
 
-def _population_mse(weights: list[Matrix], task: LeastSquaresTask, overwrite: bool) -> float:
+def _population_mse(weights: list[Matrix], task: LeastSquaresTask) -> float:
     """E over x ~ N(0, I) of the batch-mean half squared error of the chain
-    of `weights`, worked in place in the chain product of several layers (a
-    fresh array) and in a lone layer's weight only when `overwrite`."""
+    of `weights`, which it reads and leaves as they are."""
     prod = weights[0]
     for w in weights[1:]:
         prod = w @ prod
-    diff = np.subtract(prod, task.W_star, out=prod if overwrite or len(weights) > 1 else None)
+    diff = prod - task.W_star
     diff *= diff
     return 0.5 * float(np.sum(diff))
 
@@ -630,8 +630,25 @@ def _alignment(net: Network, merged: UpdateRecord | None) -> list[AlignmentRepor
     return [head_alignment(heads) for heads in (merged.factors if merged else net.layers)]
 
 
-def _first_nonfinite(weights: list[Matrix]) -> int | None:
-    return next((li for li, w in enumerate(weights) if not np.isfinite(w).all()), None)
+def _guard(step: int, losses: np.ndarray, mse: float | None, weights: list[Matrix] | None) -> None:
+    """Raise RunDiverged, naming the step, the quantity and the layer or
+    worker, when the step's results are not finite. It reads only what the
+    step holds: the population MSE where there is one (a finite MSE vouches
+    for the weights it was taken from), else the row of losses and, on a
+    snapshot step, the effective weights, before a rank's SVD sees them."""
+    if mse is not None and math.isfinite(mse):
+        return
+    layer = next((li for li, w in enumerate(weights or ()) if not np.isfinite(w).all()), None)
+    if mse is not None:
+        where = "every layer's is finite" if layer is None else f"layer {layer}'s is not"
+        raise RunDiverged(f"step {step}: the population MSE is {mse!r}; of the effective "
+                          f"weights, {where}")
+    worker = next((j for j, loss in enumerate(losses.tolist()) if not math.isfinite(loss)), None)
+    if worker is not None:
+        raise RunDiverged(f"step {step}: the training loss of worker {worker} is {losses[worker]}")
+    if layer is not None:
+        raise RunDiverged(f"step {step}: the snapshot's effective weight of layer {layer} "
+                          "is not finite")
 
 
 def _rank(m: Matrix) -> float:
@@ -639,6 +656,7 @@ def _rank(m: Matrix) -> float:
     return effective_rank(m) if np.any(m != 0.0) else float("nan")
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # `_guard` reports divergence
 def run(cfg: RunConfig) -> RunResult:
     """Train in cfg.mode, in the one loop every mode shares. Each step
     draws one stack from the run's stream and makes one `_train_heads`
@@ -654,18 +672,18 @@ def run(cfg: RunConfig) -> RunResult:
     step; the default interval is the merge period, or the whole run in
     modes that never merge. Population MSE is evaluated after every step
     where it is defined, and stop_mse ends the run at the first step at or
-    under it. Each step runs in this order: the update, the merge, one pass
-    of `effective_weight` over the layers given their P° (when a snapshot is
-    due or MSE is evaluated), the snapshot, the evaluation; snapshot and
-    evaluation read that one pass, which takes one head product per layer,
-    none on an exact merge step, where it is given the merge's P (P - P° is
-    exactly zero). On a step without a snapshot the evaluation overwrites
-    the pass, so a snapshot after a stop_mse break takes its weights again.
-    A snapshot's alignment is of the heads as trained, so on a merge step it
-    comes from the merge record. From an all-zero base the accumulated
-    update is the weight itself, and its rank is taken once. A run raises
-    RunDiverged at the first step whose population MSE is not finite, or
-    at a snapshot whose effective weights are not all finite."""
+    under it, with a snapshot of that step. Each step runs in this order:
+    the update, the merge, one pass of `effective_weight` over the layers
+    given their P° (when a snapshot is due or MSE is evaluated), the
+    evaluation, `_guard`, the stop_mse check, the snapshot. All of them read
+    that one pass, which no reader writes into and which takes one head
+    product per layer, none on an exact merge step, where it is given the
+    merge's P (P - P° is exactly zero). A snapshot's alignment is of the
+    heads as trained, so on a merge step it comes from the merge record.
+    From an all-zero base the accumulated update is the weight itself, and
+    its rank is taken once. The guard raises RunDiverged at the first step
+    whose results are not finite; numpy's floating-point warnings stay
+    quiet for the whole run."""
     cfg.validate()
     root = RandomSource(cfg.seed)
     task = gen_least_squares(cfg.dataset.m, cfg.dataset.n, cfg.dataset.rank, root.child("task"))
@@ -700,10 +718,6 @@ def run(cfg: RunConfig) -> RunResult:
     merges: list[UpdateRecord] = []
 
     def snapshot(step: int, weights: list[Matrix]) -> Snapshot:
-        li = _first_nonfinite(weights)
-        if li is not None:
-            raise RunDiverged(f"step {step}: the snapshot's effective weight of layer {li} "
-                              "is not finite")
         weight_rank = [_rank(w) for w in weights]
         update_rank = (list(weight_rank) if zero_base
                        else [_rank(w - w0) for w, w0 in zip(weights, base_weights)])
@@ -722,7 +736,6 @@ def run(cfg: RunConfig) -> RunResult:
     snapshots = [snapshot(0, base_weights)]
     losses = []
     eval_mse = []
-    stopped_at = None
     for step in range(1, cfg.total_steps + 1):
         x, y = stream.next(batch)
         if mode.kind == "full":
@@ -739,23 +752,16 @@ def run(cfg: RunConfig) -> RunResult:
             if cfg.policy.reset_opt:
                 opt.reset_states()
         snap_due = step % interval == 0 or step == cfg.total_steps
-        if snap_due or do_eval:
-            weights = effective_weights(prods)
-        if snap_due:
+        weights = effective_weights(prods) if snap_due or do_eval else None
+        mse = _population_mse(weights, task) if do_eval else None
+        _guard(step, losses[-1], mse, weights)
+        eval_mse.append(mse)
+        # validate lets stop_mse be set only where there is an MSE
+        stopped_at = step if cfg.stop_mse is not None and mse <= cfg.stop_mse else None
+        if snap_due or stopped_at:
             snapshots.append(snapshot(step, weights))
-        if do_eval:
-            mse = _population_mse(weights, task, overwrite=not snap_due)
-            if not math.isfinite(mse):
-                li = _first_nonfinite(effective_weights(prods))
-                where = "every layer's is finite" if li is None else f"layer {li}'s is not"
-                raise RunDiverged(f"step {step}: the population MSE is {mse!r}; of the "
-                                  f"effective weights, {where}")
-            eval_mse.append(mse)
-            if cfg.stop_mse is not None and mse <= cfg.stop_mse:
-                stopped_at = step
-                break
-    if snapshots[-1].step != len(losses):  # a stop_mse break; its weights were overwritten
-        snapshots.append(snapshot(len(losses), effective_weights(unmerged)))
+        if stopped_at:
+            break
     return RunResult(
         config=cfg,
         task=task,

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -122,7 +123,18 @@ class TestTrain:
         with np.errstate(all="ignore"):
             assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert "step 60: the snapshot's effective weight of layer 0 is not finite" in err
+        assert "step 4: the training loss of worker 0 is inf" in err
+
+    @pytest.mark.parametrize("interval", [None, 1], ids=["default-interval", "every-step"])
+    @pytest.mark.parametrize("name", sorted(DIVERGING_CONFIGS))
+    def test_diverging_run_prints_one_line_and_no_warning(self, tmp_path, capsys, name, interval):
+        cfg = write_json(tmp_path / "cfg.json",
+                         {**DIVERGING_CONFIGS[name], "snapshot_interval": interval})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the run
+            assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: step ")
 
     def test_unknown_field_rejected(self, tmp_path, capsys):
         bad = full_8x8_config()

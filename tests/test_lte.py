@@ -994,9 +994,9 @@ class TestOneProductPerInterval:
                 for a in pair} == {3}
         # the base weights at step 0, then T products per merge interval
         # (not 2 T + 2: the stale product, the merge's own, and the merge
-        # step's eval are taken from no factors); a stop_mse break takes
-        # the final snapshot's weights again
-        assert calls[0] == n_layers * (1 + res.steps_run + stop)
+        # step's eval are taken from no factors); a stop_mse stop's snapshot
+        # reads the weights its MSE was taken from
+        assert calls[0] == n_layers * (1 + res.steps_run)
 
 
 class TestPolicy:
@@ -1237,7 +1237,7 @@ class TestDivergence:
     @pytest.mark.parametrize("name, message", [
         ("identity_chain", "step 11: the population MSE is inf; of the effective weights, "
                            "every layer's is finite"),
-        ("relu_mhlora", "step 60: the snapshot's effective weight of layer 0 is not finite"),
+        ("relu_mhlora", "step 4: the training loss of worker 0 is inf"),
     ])
     def test_names_step_quantity_and_layer(self, name, message):
         cfg = config_from_dict(DIVERGING_CONFIGS[name])
@@ -1245,6 +1245,35 @@ class TestDivergence:
             lte.run(cfg)
         assert str(info.value) == message
         assert isinstance(info.value, ValueError)
+
+    @staticmethod
+    def _message(raw):
+        with pytest.raises(RunDiverged) as info:
+            lte.run(config_from_dict(raw))
+        return str(info.value)
+
+    # eta 50 on the ReLU 8-8-8 chain: mhlora, and lte merging every 3 steps
+    RELU_LTE = {**DIVERGING_CONFIGS["relu_mhlora"], "mode": "lte", "T": 3}
+
+    @pytest.mark.parametrize("raw, message", [
+        (DIVERGING_CONFIGS["relu_mhlora"], "step 4: the training loss of worker 0 is inf"),
+        (RELU_LTE, "step 5: the training loss of worker 0 is nan"),
+    ], ids=["mhlora", "lte"])
+    def test_without_mse_the_loss_row_stops_the_run_at_any_interval(self, raw, message):
+        # the guard reads every step's losses, so the stop waits for no
+        # snapshot: the default interval (60 steps, or the merge period)
+        # stops where a snapshot on every step does
+        for interval in (None, 1):
+            assert self._message({**raw, "snapshot_interval": interval}) == message
+
+    def test_a_snapshot_sees_weights_its_own_step_made_non_finite(self):
+        # a step's losses are taken before its update, its snapshot after:
+        # where the update is what overflows, a snapshot on that step stops
+        # the run one step before the next row of losses would
+        raw = {**self.RELU_LTE, "T": 5}
+        assert self._message(raw) == "step 5: the training loss of worker 0 is nan"
+        assert self._message({**raw, "snapshot_interval": 1}) == (
+            "step 4: the snapshot's effective weight of layer 0 is not finite")
 
 
 class TestStepClock:
