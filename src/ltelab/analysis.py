@@ -15,6 +15,10 @@ from .layers import LoraLinear
 from .network import Batch, _concat, combine, head_product
 from .numerics import Matrix, as_matrix, frobenius, singular_values, svd
 
+# The numerical-rank tolerance of grassman_distance and head_alignment: a
+# singular value counts when it exceeds this fraction of the largest.
+_RANK_TOL = 1e-10
+
 # Sign conventions for the first-order part of the effective-update formula.
 # "expansion" is the one confirmed by verify_effective_update: expanding one
 # simultaneous SGD step on (B, A) gives s^2 (B B^T g + g A^T A) exactly, both
@@ -71,7 +75,7 @@ def grassman_distance(p: Matrix, q: Matrix, k: int) -> float:
     bases = []
     for m in (p, q):
         u, sv, _ = svd(m)
-        rank = int(np.sum(sv > 1e-10 * sv[0])) if sv[0] > 0 else 0
+        rank = int(np.sum(sv > _RANK_TOL * sv[0])) if sv[0] > 0 else 0
         if k > rank:
             raise ValueError(f"k={k} exceeds the numerical rank {rank}")
         bases.append(u[:, :k])
@@ -100,16 +104,15 @@ class AlignmentReport:
     excluded_heads: tuple[int, ...] = field(default=())
 
 
-def head_alignment(heads: LoraLinear | tuple[Matrix, Matrix], rank_tol: float = 1e-10
-                   ) -> AlignmentReport:
+def head_alignment(heads: LoraLinear | tuple[Matrix, Matrix]) -> AlignmentReport:
     """Alignment of a layer's heads, or of the head stacks (A, B), shaped
     (N, r, n) and (N, m, r), of one (such as a merge record's copies);
     needs N >= 2.
 
     Heads whose product is zero (or numerically rank-deficient below the
-    nominal rank) cannot span the k-dimensional subspace the distance is
-    defined on; they are excluded from the Grassman statistic and flagged,
-    and zero heads read cosine 0.
+    nominal rank, at the tolerance `grassman_distance` uses) cannot span the
+    k-dimensional subspace the distance is defined on; they are excluded
+    from the Grassman statistic and flagged, and zero heads read cosine 0.
 
     Everything is computed from the (N, m, r) and (N, r, n) factor stacks,
     never from the m x n products. The products' inner products are
@@ -117,7 +120,10 @@ def head_alignment(heads: LoraLinear | tuple[Matrix, Matrix], rank_tol: float = 
     two r x r Gram blocks. For a nonzero head, QR(B) = Q_B R_B and
     QR(A^T) = Q_A R_A give B A = Q_B (R_B R_A^T) Q_A^T, so the r x r core
     R_B R_A^T carries the product's singular values for the rank test, and a
-    full-rank head's column space is span(Q_B).
+    full-rank head's column space is span(Q_B). Every pair i < j comes from
+    one pair of `np.triu_indices` arrays, in row-major order: the cosines
+    are one division over the pairs of nonzero heads, and the Grassman
+    distances one stacked call over the pairs of full-rank heads.
     """
     A, B = (heads.A, heads.B) if isinstance(heads, LoraLinear) else heads
     if len(A) < 2:
@@ -135,44 +141,34 @@ def head_alignment(heads: LoraLinear | tuple[Matrix, Matrix], rank_tol: float = 
     )
     norms = np.sqrt(np.maximum(np.diag(inner), 0.0))
 
-    bases: list[Matrix | None] = [None] * n_heads
-    live = np.flatnonzero(norms > 0.0)
-    if live.size:
+    # a head has a basis (its Q_B) when it is nonzero and of full rank r
+    bases = np.zeros(B.shape)
+    full = np.zeros(n_heads, dtype=bool)
+    live = norms > 0.0
+    if live.any():
         q_b, r_b = np.linalg.qr(B[live])
+        bases[live] = q_b
         r_a = np.linalg.qr(A[live].transpose(0, 2, 1), mode="r")
         sv = np.linalg.svd(r_b @ r_a.transpose(0, 2, 1), compute_uv=False)
-        for k, i in enumerate(live):
-            if int(np.sum(sv[k] > rank_tol * sv[k, 0])) == r:
-                bases[i] = q_b[k]
-    excluded = [i for i in range(n_heads) if bases[i] is None]
+        full[live] = np.sum(sv > _RANK_TOL * sv[:, :1], axis=1) == r
 
+    # (2, P): every pair i < j, in row-major order; a pair with a zero head
+    # reads cosine 0, and only pairs of full-rank heads have a distance
+    pairs = np.array(np.triu_indices(n_heads, 1))
+    ci, cj = pairs[:, live[pairs].all(axis=0)]
+    cos_vals = np.clip(inner[ci, cj] / (norms[ci] * norms[cj]), -1.0, 1.0)
     cosine = np.eye(n_heads)
+    cosine[ci, cj] = cosine[cj, ci] = cos_vals
+    gi, gj = pairs[:, full[pairs].all(axis=0)]
     grassman = np.full((n_heads, n_heads), np.nan)
     np.fill_diagonal(grassman, 0.0)
-    cos_vals = []
-    based = []  # pairs of heads that both have a basis
-    for i in range(n_heads):
-        for j in range(i + 1, n_heads):
-            if norms[i] > 0.0 and norms[j] > 0.0:
-                c = float(inner[i, j] / (norms[i] * norms[j]))
-                c = min(1.0, max(-1.0, c))
-                cosine[i, j] = cosine[j, i] = c
-                cos_vals.append(c)
-            else:
-                cosine[i, j] = cosine[j, i] = 0.0
-            if bases[i] is not None and bases[j] is not None:
-                based.append((i, j))
-    gr_vals = np.zeros(0)
-    if based:
-        # every pair's distance from one stacked call
-        gr_vals = _principal_angle_distance(np.stack([bases[i] for i, _ in based]),
-                                            np.stack([bases[j] for _, j in based]))
-        for (i, j), d in zip(based, gr_vals):
-            grassman[i, j] = grassman[j, i] = d
+    gr_vals = _principal_angle_distance(bases[gi], bases[gj]) if gi.size else np.zeros(0)
+    grassman[gi, gj] = grassman[gj, gi] = gr_vals
 
-    mean_cos = float(np.mean(cos_vals)) if cos_vals else float("nan")
-    mean_gr_pairs = float(np.mean(gr_vals)) if gr_vals.size else float("nan")
-    mean_gr_scaled = float(2.0 * np.sum(gr_vals) / (2.0 * n_heads)) if gr_vals.size else float("nan")
+    nan = float("nan")
+    mean_cos = float(np.mean(cos_vals)) if cos_vals.size else nan
+    mean_gr_pairs = float(np.mean(gr_vals)) if gr_vals.size else nan
+    mean_gr_scaled = float(2.0 * np.sum(gr_vals) / (2.0 * n_heads)) if gr_vals.size else nan
     return AlignmentReport(
         cosine=cosine,
         mean_cosine=mean_cos,
@@ -180,7 +176,7 @@ def head_alignment(heads: LoraLinear | tuple[Matrix, Matrix], rank_tol: float = 
         mean_grassman_pairs=mean_gr_pairs,
         mean_grassman_scaled=mean_gr_scaled,
         rank=r,
-        excluded_heads=tuple(excluded),
+        excluded_heads=tuple(np.flatnonzero(~full).tolist()),
     )
 
 
@@ -301,7 +297,6 @@ def verify_effective_update(
     g = ((eff @ x) - y) @ x.T / b
 
     update_norms = []
-    residual_first = []
     residual_both = []
     by_convention: dict[str, list[float]] = {name: [] for name in UPDATE_CONVENTIONS}
     for eta in etas:
@@ -319,9 +314,8 @@ def verify_effective_update(
 
     confirmed = min(UPDATE_CONVENTIONS, key=lambda name: by_convention[name][-1])
     residual_first = by_convention[confirmed]
-    ratios = []
-    for lo, hi in zip(residual_first[1:], residual_first[:-1]):
-        ratios.append(hi / lo if lo > 0.0 else float("inf"))
+    ratios = [hi / lo if lo > 0.0 else float("inf")
+              for lo, hi in zip(residual_first[1:], residual_first[:-1])]
     return EffectiveUpdateReport(
         etas=tuple(etas),
         update_norms=tuple(update_norms),
@@ -335,8 +329,9 @@ def verify_effective_update(
 
 def merge_deltas(merges):
     """Yield each merge record's per-layer increments `combine(c, P, P°)`,
-    bitwise its `delta`, taking one head product P per record and layer. An
-    exact run's record has the previous record's factors as its stale
+    bitwise what its merge added to W (a record's `delta` is this function
+    of that record alone), taking one head product P per record and layer.
+    An exact run's record has the previous record's factors as its stale
     stacks, so its P° is that record's P; any other stale stacks (a first
     record's zeros, a hand-driven `merge`'s fresh copies) take their own
     product."""

@@ -21,20 +21,21 @@ import sys
 from dataclasses import replace
 
 from .analysis import trajectory_deviation
-from .artifacts import write_deviation_artifacts, write_run_artifacts
+from .artifacts import _nanmean, write_deviation_artifacts, write_run_artifacts
 from .costmodel import CostInputs, cost_report
 from .lte import ConfigError, RunConfig, config_from_dict, run
 
 
-def _load_config(path: str) -> RunConfig:
+def _load_json(path: str, what: str):
+    """The JSON value in `path`; `what` ("config" or "grid") prefixes the
+    ConfigError of an unreadable file or invalid JSON."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"config: cannot read {path}: {exc}") from exc
+        raise ConfigError(f"{what}: cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config: {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(raw)
+        raise ConfigError(f"{what}: {path} is not valid JSON: {exc}") from exc
 
 
 def _resolve_out(cfg: RunConfig, flag_value: str | None) -> str:
@@ -46,10 +47,9 @@ def _resolve_out(cfg: RunConfig, flag_value: str | None) -> str:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = config_from_dict(_load_json(args.config, "config"))
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-        cfg.validate()
     outdir = _resolve_out(cfg, args.out)
     result = run(cfg)
     write_run_artifacts(result, outdir)
@@ -63,8 +63,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg_a = _load_config(args.a)
-    cfg_b = _load_config(args.b)
+    cfg_a = config_from_dict(_load_json(args.a, "config"))
+    cfg_b = config_from_dict(_load_json(args.b, "config"))
     outdir = args.out or os.path.join("runs", "compare")
     result_a = run(cfg_a)
     result_b = run(cfg_b)
@@ -86,23 +86,28 @@ def _median(values):
     return None if None in values else statistics.median(values)
 
 
+def _reject(keys, problem: str) -> None:
+    """Raise the sweep spec's ConfigError naming `keys`, sorted, if any."""
+    if keys:
+        raise ConfigError(f"grid: {', '.join(sorted(keys))}: {problem}")
+
+
 def cmd_sweep(args) -> int:
-    try:
-        with open(args.grid, "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"grid: cannot load {args.grid}: {exc}") from exc
-    if "base" not in spec or "grid" not in spec:
-        raise ConfigError("grid: spec needs 'base' and 'grid' sections")
-    base = config_from_dict(spec["base"])
+    spec = _load_json(args.grid, "grid")
+    _reject(set() if isinstance(spec, dict) else {"spec"}, "must be a JSON object")
+    _reject(set(spec) - {"base", "grid", "seeds", "threshold"}, "unknown key")
+    _reject({"base", "grid"} - set(spec), "missing section")
     grid = spec["grid"]
-    ns = list(grid.get("N", [base.n_heads]))
-    rs = list(grid.get("r", [base.rank]))
-    ts = list(grid.get("T", [base.policy.period]))
-    seeds = list(spec.get("seeds", [base.seed]))
-    threshold = float(spec.get("threshold", 1e-4))
-    if not ns or not rs or not ts or not seeds:
-        raise ConfigError("grid: every grid axis needs at least one value")
+    _reject(set() if isinstance(grid, dict) else {"grid"}, "must be an object of axes N, r, T")
+    _reject({f"grid.{k}" for k in set(grid) - {"N", "r", "T"}}, "unknown axis; the axes are N, r, T")
+    base = config_from_dict(spec["base"])
+    axes = {"grid.N": grid.get("N", [base.n_heads]), "grid.r": grid.get("r", [base.rank]),
+            "grid.T": grid.get("T", [base.policy.period]), "seeds": spec.get("seeds", [base.seed])}
+    _reject({k for k, v in axes.items() if not isinstance(v, list) or not v},
+            "must be a non-empty list")
+    threshold = spec.get("threshold", 1e-4)
+    _reject(set() if type(threshold) in (int, float) else {"threshold"}, "must be a number")
+    ns, rs, ts, seeds = axes.values()
 
     outdir = args.out or os.path.join("runs", "sweep")
     os.makedirs(outdir, exist_ok=True)
@@ -116,13 +121,11 @@ def cmd_sweep(args) -> int:
                         base, n_heads=n, rank=r,
                         policy=replace(base.policy, period=t), seed=seed,
                     )
-                    cfg.validate()
                     result = run(cfg)
                     finals.append(result.final_mse())
                     hit = result.steps_to_mse(threshold)
                     steps_to.append(float("inf") if hit is None else hit)
-                    last_rank = [v for v in result.snapshots[-1].update_rank if v == v]
-                    ranks.append(sum(last_rank) / len(last_rank) if last_rank else float("nan"))
+                    ranks.append(_nanmean(result.snapshots[-1].update_rank))
                 steps = _median(steps_to)
                 rows.append((n, r, t, _median(finals), None if steps == float("inf") else steps,
                              _median(ranks)))

@@ -43,10 +43,10 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import __version__ as _code_version
-from .analysis import AlignmentReport, effective_rank, head_alignment
+from .analysis import AlignmentReport, effective_rank, head_alignment, merge_deltas
 from .data import LeastSquaresTask, gen_least_squares
 from .layers import LoraHead, LoraLinear
-from .network import (ACTIVATIONS, LOSSES, Batch, Mode, Network, combine, correction_mismatch,
+from .network import (ACTIVATIONS, LOSSES, Batch, Mode, Network, correction_mismatch,
                       effective_weight, head_product, loss_and_grad, trained_pairs)
 from .numerics import INIT_KINDS, InitScheme, Matrix, RandomSource, init_matrix, init_stack
 from .optim import AdamState, OptimConfig, adamw_step, sgd_step
@@ -383,15 +383,14 @@ class UpdateRecord:
     the coefficient c = s/N, copies of the merged head stacks (A, B), and in
     exact mode the stale stacks (A°, B°) the merge subtracted (None
     otherwise), and no dense product; no array aliases a live head stack.
-    In an exact run a
-    record's factors are the next interval's stale stacks, so they are
-    read-only and shared with the next record, whose stale they are; the
-    first record's stale stacks are zeros. `merge` records fresh stacks of
+    In an exact run a record's factors are the next interval's stale
+    stacks, so they are read-only and shared with the next record, whose
+    stale they are; the first record's stale stacks are zeros. `merge` records fresh stacks of
     its workers' corrections. delta[layer] recomputes one record's dense
-    increment c (B A - B° A°), `combine` of the stacks' `head_product`s
-    (two per layer in exact mode), bitwise what the merge added to W; for
-    a run's records `analysis.merge_deltas` forms the same increments with
-    one product per record and layer, taking an exact record's P° from the
+    increment c (B A - B° A°), bitwise what the merge added to W, as
+    `analysis.merge_deltas` of this record alone (two head products per
+    layer in exact mode); over a run's records `merge_deltas` takes one
+    product per record and layer, reading an exact record's P° from the
     previous record, whose factors its stale stacks are. Worker n's
     contribution, s (B_n A_n - B°_n A°_n), comes from slice n of each
     stack."""
@@ -404,8 +403,7 @@ class UpdateRecord:
 
     @property
     def delta(self) -> list[Matrix]:
-        return [combine(c, head_product(A, B), None if stale is None else head_product(*stale))
-                for c, (A, B), stale in zip(self.coefs, self.factors, self.stale)]
+        return next(merge_deltas([self]))
 
 
 @dataclass

@@ -32,7 +32,7 @@ from ltelab.lte import (
     run_lte,
     run_mhlora,
 )
-from ltelab.network import Network, head_product
+from ltelab.network import Network, _concat, head_product
 from ltelab.numerics import RandomSource, svd
 from ltelab.optim import OptimConfig
 
@@ -298,8 +298,8 @@ class TestFactoredAlignment:
 
     @pytest.mark.parametrize("eps, excluded", [(1e-8, ()), (1e-11, (2,))])
     def test_near_rank_deficient_a(self, eps, excluded):
-        # either side of rank_tol = 1e-10: the second singular value of the
-        # product is about 1.6 eps relative to the first
+        # either side of the rank tolerance, 1e-10: the second singular value
+        # of the product is about 1.6 eps relative to the first
         rng = RandomSource(0)
         layer = gaussian_layer(rng, 7, 5, 2, 3)
         layer.A[2, 1] = layer.A[2, 0] + eps * rng.child("other").standard_normal(5)
@@ -330,6 +330,113 @@ class TestFactoredAlignment:
         getattr(layer, factor)[1, 0, 0] = value
         with pytest.raises(ValueError, match="non-finite"):
             head_alignment(layer)
+
+
+def pairwise_alignment(A, B, rank_tol=1e-10):
+    """Reference: head_alignment as it was written before its pairs came
+    from index arrays, one Python iteration per head and per pair i < j."""
+    n_heads, r, _ = A.shape
+    a_rows, b_cols = _concat(A, B)
+    inner = ((b_cols.T @ b_cols) * (a_rows @ a_rows.T)).reshape(n_heads, r, n_heads, r).sum(
+        axis=(1, 3)
+    )
+    norms = np.sqrt(np.maximum(np.diag(inner), 0.0))
+    bases = [None] * n_heads
+    live = np.flatnonzero(norms > 0.0)
+    if live.size:
+        q_b, r_b = np.linalg.qr(B[live])
+        r_a = np.linalg.qr(A[live].transpose(0, 2, 1), mode="r")
+        sv = np.linalg.svd(r_b @ r_a.transpose(0, 2, 1), compute_uv=False)
+        for k, i in enumerate(live):
+            if int(np.sum(sv[k] > rank_tol * sv[k, 0])) == r:
+                bases[i] = q_b[k]
+    excluded = [i for i in range(n_heads) if bases[i] is None]
+    cosine = np.eye(n_heads)
+    grassman = np.full((n_heads, n_heads), np.nan)
+    np.fill_diagonal(grassman, 0.0)
+    cos_vals = []
+    based = []
+    for i in range(n_heads):
+        for j in range(i + 1, n_heads):
+            if norms[i] > 0.0 and norms[j] > 0.0:
+                c = float(inner[i, j] / (norms[i] * norms[j]))
+                c = min(1.0, max(-1.0, c))
+                cosine[i, j] = cosine[j, i] = c
+                cos_vals.append(c)
+            else:
+                cosine[i, j] = cosine[j, i] = 0.0
+            if bases[i] is not None and bases[j] is not None:
+                based.append((i, j))
+    gr_vals = np.zeros(0)
+    if based:
+        gr_vals = _principal_angle_distance(np.stack([bases[i] for i, _ in based]),
+                                            np.stack([bases[j] for _, j in based]))
+        for (i, j), d in zip(based, gr_vals):
+            grassman[i, j] = grassman[j, i] = d
+    nan = float("nan")
+    return AlignmentReport(
+        cosine=cosine,
+        mean_cosine=float(np.mean(cos_vals)) if cos_vals else nan,
+        grassman=grassman,
+        mean_grassman_pairs=float(np.mean(gr_vals)) if gr_vals.size else nan,
+        mean_grassman_scaled=float(2.0 * np.sum(gr_vals) / (2.0 * n_heads)) if gr_vals.size else nan,
+        rank=r,
+        excluded_heads=tuple(excluded),
+    )
+
+
+HEAD_KINDS = ("gaussian", "zero_A", "zero_B", "copy", "negated", "deficient", "near_deficient")
+
+
+@st.composite
+def head_stacks(draw):
+    """(A, B) stacks of N = 2..9 heads of random shape, each head Gaussian,
+    zero in one factor, a copy or a negation of head 0, rank-deficient (two
+    equal rows of A) or near rank-deficient: two rows of A a relative
+    10^-13 to 10^-7 apart, so the product's smallest nonzero singular value
+    falls on either side of the rank tolerance."""
+    m, n = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    r = draw(st.integers(1, min(m, n)))
+    kinds = draw(st.lists(st.sampled_from(HEAD_KINDS), min_size=2, max_size=9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((len(kinds), r, n))
+    B = rng.standard_normal((len(kinds), m, r))
+    for h, kind in enumerate(kinds):
+        if kind == "zero_A":
+            A[h] = 0.0
+        elif kind == "zero_B":
+            B[h] = 0.0
+        elif kind in ("copy", "negated"):
+            A[h], B[h] = A[0], B[0] if kind == "copy" else -B[0]
+        elif r >= 2 and kind == "deficient":
+            A[h, 1] = A[h, 0]
+        elif r >= 2 and kind == "near_deficient":
+            eps = 10.0 ** draw(st.floats(-13.0, -7.0))
+            A[h, 1] = A[h, 0] + eps * rng.standard_normal(n)
+    return A, B
+
+
+def report_bytes(rep):
+    """Every AlignmentReport field as bytes, each NaN written as np.nan."""
+    out = [rep.rank, rep.excluded_heads]
+    for name in ("cosine", "mean_cosine", "grassman", "mean_grassman_pairs",
+                 "mean_grassman_scaled"):
+        value = np.asarray(getattr(rep, name), dtype=float)
+        out.append(np.where(np.isnan(value), np.nan, value).tobytes())
+    return out
+
+
+class TestStackedAlignment:
+    """head_alignment takes every pair i < j from one pair of index arrays;
+    it must be bitwise the per-pair reference above."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(head_stacks())
+    def test_bitwise_the_per_pair_reference(self, stacks):
+        A, B = stacks
+        got, want = head_alignment((A, B)), pairwise_alignment(A, B)
+        assert report_bytes(got) == report_bytes(want)
+        assert all(type(i) is int for i in got.excluded_heads)
 
 
 class TestTrajectoryDeviation:

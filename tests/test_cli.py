@@ -255,6 +255,27 @@ class TestSweep:
         assert main(["sweep", "--grid", spec, "--out", str(tmp_path / "o")]) == 2
         assert f"error: {path}: must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec,key", [
+        ([1, 2], "spec"),
+        ({"grid": [1, 2]}, "grid"),
+        ({"grid": {"N": 2}}, "grid.N"),
+        ({"grid": {"N": [2]}, "seeds": 3}, "seeds"),
+        ({"grid": {"T": 5, "N": 2}}, "grid.N, grid.T"),
+        ({"grid": {"eta": [0.1]}}, "grid.eta"),
+        ({"grid": {"N": [2]}, "steps": 5}, "steps"),
+        ({"grid": {"N": [2]}, "zeta": 1, "alpha": 2}, "alpha, zeta"),
+        ({"grid": {"N": [2]}, "threshold": "1e-3"}, "threshold"),
+        ({}, "grid"),
+    ], ids=["not-object", "grid-list", "axis-int", "seeds-int", "axes-sorted", "unknown-axis",
+            "unknown-key", "keys-sorted", "threshold-str", "no-grid"])
+    def test_malformed_spec_names_the_key(self, tmp_path, capsys, spec, key):
+        if isinstance(spec, dict):
+            spec = {"base": lte_config(steps=2), **spec}
+        path = write_json(tmp_path / "grid.json", spec)
+        assert main(["sweep", "--grid", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: grid: {key}: "), err
+
     def test_capacity_and_merge_frequency_orderings(self, tmp_path):
         # 3-seed medians on a full-rank 16x16 task: a larger head rank never
         # worsens the final loss at fixed (N, T), and a larger merge period
